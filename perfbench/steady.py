@@ -4,8 +4,9 @@ print for every metric its median, quartiles, quartile spread and
 (max - min) as shares of the median.
 
     python3 perfbench/steady.py [--workload NAME ...] [--runs 10]
-                                [--first-seed 1] [--seconds 20] [--trace 0]
+                                [--first-seed 1] [--trace 0]
 
+Each run measures for run.py's default, the run_seconds of BENCHMARK.json.
 Quartiles are Python's statistics.quantiles(values, n=4).  The raw result
 lines go to --out (JSON lines) when given.
 """
@@ -22,10 +23,9 @@ sys.path.insert(0, str(BENCH_DIR))
 from run import WORKLOADS  # noqa: E402
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, trace):
     cmd = [sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, capture_output=True, text=True,
                           cwd=BENCH_DIR.parent)
     lines = proc.stdout.strip().splitlines()
@@ -62,7 +62,6 @@ def main():
     ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
@@ -71,7 +70,7 @@ def main():
         results = []
         for i in range(args.runs):
             seed = args.first_seed + i
-            prov, r = run_once(workload, seed, args.seconds, args.trace)
+            prov, r = run_once(workload, seed, args.trace)
             results.append(r)
             if out:
                 out.write(json.dumps({"workload": workload, "seed": seed,

@@ -1,32 +1,34 @@
 /// \file stepbench.cpp
-/// Per-step benchmark of the Mach-10 single jet (`jet-single`, the
-/// paper's §6.2 performance workload) stepped through the public
-/// cases::CaseRun API, one timed `step()` call at a time.
+/// One *solve* of the Mach-10 single jet (`jet-single`, the paper's §6.2
+/// performance workload), stepped through the public cases::CaseRun API one
+/// timed `step()` call at a time.
 ///
-/// The run repeats *solves* until its time budget is spent.  A solve is
-/// what a user of the solver waits for: build the case (allocation,
-/// initial condition and, over TCP, the rank rendezvous), take `warmup`
-/// untimed and `steps` timed steps — with a health scan and a checkpoint
-/// every `ckpt-every` steps when asked — read back the state and dt
-/// fingerprints, and tear down.  Every solve's fingerprints are checked
-/// against the expected ones; a mismatch, an exception or a failed rank
-/// thread fails that solve.
+/// A solve is what a user of the solver waits for: build the case
+/// (allocation, initial condition and, over TCP, the rank rendezvous), take
+/// kWarmup untimed and kSteps timed steps — with a health scan and a
+/// checkpoint every `ckpt-every` steps when asked — read back the state and
+/// dt fingerprints, and tear down.  The fingerprints are checked against the
+/// expected ones; a mismatch, an exception or a failed rank thread fails the
+/// solve.  Each process runs exactly one solve, so every solve pays a fresh
+/// run's set-up (page faults, allocator state, OpenMP pool) and reports its
+/// own peak RSS; perfbench/run.py repeats processes for its time budget.
 ///
 /// A rank layout of 1x1xR with R > 1 runs R TCP endpoints as R threads of
-/// this process (rendezvous in a fresh directory per solve), so the halo
-/// pipeline, the TCP framing, the dt allreduce and the checkpoint gather do
-/// real work on loopback sockets.
+/// this process (rendezvous in a fresh directory), so the halo pipeline, the
+/// TCP framing, the dt allreduce and the checkpoint gather do real work on
+/// loopback sockets.
 ///
-/// With `--trace FILE` the first half of the budget runs untraced and the
-/// second half traced: spans around each public call this program makes into
-/// the library, the solver's phase profile, and the comm/transport meters,
-/// followed by short probes of the layers the steps do not expose on their
-/// own (exec-space barrier, half conversion lanes, allreduce, checkpoint
-/// read, simulation set-up).  The spans are kept in memory and written to
-/// FILE as a Chrome trace when the run ends.
+/// With `--trace FILE` the solve runs with the solver's phase timing on and
+/// records spans around each public call this program makes into the
+/// library, reads the comm/transport meters around every timed step, then
+/// probes the layers the steps do not expose on their own (exec-space
+/// barrier, half conversion lanes, allreduce, checkpoint read, simulation
+/// set-up).  The spans are kept in memory and written to FILE as a Chrome
+/// trace when the solve ends.
 ///
-/// Output: one JSON object on the last line of stdout (raw aggregates;
-/// perfbench/run.py turns them into the benchmark result).
+/// Output: one JSON object on the last line of stdout with the solve's raw
+/// samples (perfbench/run.py turns those of many solves into the benchmark
+/// result).
 
 #include <algorithm>
 #include <array>
@@ -53,7 +55,6 @@
 #include <omp.h>
 #endif
 
-#include <malloc.h>
 #include <sched.h>
 
 #include "app/jet_config.hpp"
@@ -74,6 +75,10 @@ using namespace igr;
 using Clock = std::chrono::steady_clock;
 constexpr int kNumPhases = common::PhaseProfile::kNumPhases;
 
+/// Every solve takes kWarmup untimed steps, then kSteps timed ones.
+constexpr int kWarmup = 2;
+constexpr int kSteps = 8;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -81,15 +86,12 @@ double seconds_since(Clock::time_point t0) {
 struct Config {
   cases::Precision precision = cases::Precision::kFp64;
   int n = 96;
-  int ranks = 1;    ///< 1x1xR layout; R > 1 runs R TCP endpoints.
-  int threads = 1;  ///< Exec-space width of every rank.
-  int warmup = 2;
-  int steps = 8;
+  int ranks = 1;       ///< 1x1xR layout; R > 1 runs R TCP endpoints.
+  int threads = 1;     ///< Exec-space width of every rank.
   int ckpt_every = 0;  ///< Health scan + checkpoint cadence (0: none).
-  double seconds = 10.0;
   double noise = 0.005;  ///< Initial-condition perturbation amplitude.
-  fs::path dir;          ///< Per-run scratch directory (must not exist).
-  std::string trace;     ///< Chrome trace output; empty: untraced run.
+  fs::path dir;          ///< Scratch directory of the solve (must not exist).
+  std::string trace;     ///< Chrome trace output; empty: untraced solve.
   std::optional<std::uint64_t> expect_state;
   std::optional<std::uint64_t> expect_dt;
 };
@@ -97,8 +99,13 @@ struct Config {
 // ------------------------------------------------------------- tracing ---
 
 /// In-memory span recorder.  One thread records (rank 0's, or the main
-/// thread between solves).  Spans of one step share its id; every span
-/// names its parent (-1 for a root).
+/// thread around it).  Spans of one step share its id; every span names its
+/// parent (-1 for a root).
+///
+/// common::telemetry's recorder does not serve here: it is process-wide with
+/// one rank stamp, which the in-process rank threads of a TCP solve would
+/// share; its spans carry no parent; and it hands them back only as
+/// serialized Chrome events, not as data to take self times from.
 class Tracer {
  public:
   struct Span {
@@ -119,10 +126,6 @@ class Tracer {
     return static_cast<int>(spans_.size()) - 1;
   }
   void end(int s) { spans_[static_cast<std::size_t>(s)].t1_ns = now(); }
-  void add(std::string name, std::int64_t t0, std::int64_t t1, int parent,
-           long id) {
-    spans_.push_back({std::move(name), t0, t1, parent, id});
-  }
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
 
   /// Self time of every span: its duration minus the part of it that its
@@ -183,7 +186,7 @@ class Scope {
   int s_;
 };
 
-// -------------------------------------------------------------- solves ---
+// --------------------------------------------------------------- solve ---
 
 /// Comm/transport meter deltas of one rank over the timed steps.
 struct RankMeters {
@@ -217,8 +220,8 @@ void accumulate(RankMeters& acc, const RankMeters& before,
   acc.tcp_bytes += after.tcp_bytes - before.tcp_bytes;
 }
 
-/// What one solve produced.  Rank 0 fills the timings; the traced-only
-/// fields stay empty in untraced solves.
+/// What the solve produced.  Rank 0 fills the timings; the traced-only
+/// fields stay empty in an untraced solve.
 struct Solve {
   double setup_s = 0.0;
   double wall_s = 0.0;
@@ -228,7 +231,6 @@ struct Solve {
   std::string unphysical;               ///< Why the final state is not
                                         ///< physical ("" if it is).
   std::vector<std::string> errors;      ///< One per rank; empty = clean.
-  std::string failure;                  ///< check_solve's verdict.
 
   std::array<double, kNumPhases> phase_s{};  ///< Summed over timed steps.
   std::uint64_t sweeps = 0;                  ///< Over timed steps.
@@ -289,8 +291,8 @@ cases::RunOptions rank_options(const Config& cfg, int rank,
   return opts;
 }
 
-/// Run body(rank) for every rank: on the calling thread for one rank (which
-/// keeps its OpenMP pool warm across calls), else one thread per rank.
+/// Run body(rank) for every rank: on the calling thread for one rank, else
+/// one thread per rank.
 template <class F>
 void for_each_rank(int ranks, F&& body) {
   if (ranks == 1) {
@@ -303,19 +305,18 @@ void for_each_rank(int ranks, F&& body) {
   for (auto& t : team) t.join();
 }
 
-/// One rank's share of a solve.  `tr` is non-null on rank 0 of a traced
+/// One rank's share of the solve.  `tr` is non-null on rank 0 of a traced
 /// solve only; `traced` is set on every rank of a traced solve.
 template <class Policy>
 void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
-                const fs::path& solve_dir, Clock::time_point t0, bool traced,
-                Tracer* tr, int parent, long solve_id, Solve& out) {
-  const cases::RunOptions opts = rank_options(cfg, rank, solve_dir, traced);
+                const fs::path& dir, Clock::time_point t0, bool traced,
+                Tracer* tr, int parent, Solve& out) {
+  const cases::RunOptions opts = rank_options(cfg, rank, dir, traced);
   const bool root = rank == 0;
-  const auto ri = static_cast<std::size_t>(rank);
 
   std::unique_ptr<cases::CaseRun<Policy>> run;
   {
-    Scope s(tr, "cases.CaseRun", parent, solve_id);
+    Scope s(tr, "cases.CaseRun", parent, 0);
     run = std::make_unique<cases::CaseRun<Policy>>(spec, opts);
   }
   // The root's constructor returns only once every peer has joined the
@@ -324,11 +325,11 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
 
   auto& sim = run->sim();
   const common::PhaseProfile* prof = sim.local_phase_profile();
+  RankMeters meters;
   fs::path last_ckpt;
-  const int total = cfg.warmup + cfg.steps;
-  for (int s = 1; s <= total; ++s) {
-    const bool timed = s > cfg.warmup;
-    if (traced && root && s == cfg.warmup + 1)
+  for (int s = 1; s <= kWarmup + kSteps; ++s) {
+    const bool timed = s > kWarmup;
+    if (traced && root && s == kWarmup + 1)
       out.sweeps = sim.sigma_sweeps_done();
     std::array<double, kNumPhases> ph0{};
     RankMeters m0;
@@ -340,33 +341,18 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
       m0 = read_meters(sim);
     }
     {
-      // Spans of one step share its id.
-      const long sid = solve_id * 100000 + s;
-      Scope span(tr, "cases.step", parent, sid);
+      Scope span(tr, "cases.step", parent, s);
       const auto ts = Clock::now();
       run->step();
-      const double step_s = seconds_since(ts);
-      if (root && timed) out.step_s.push_back(step_s);
-      if (traced && timed) {
-        accumulate(out.meters[ri], m0, read_meters(sim));
-        if (root && prof) {
-          // The profile keeps durations, not start times: the phase spans
-          // are laid end to end inside the step span, in schedule order.
-          std::int64_t cursor =
-              tr->spans()[static_cast<std::size_t>(span.index())].t0_ns;
-          for (int p = 0; p < kNumPhases; ++p) {
-            const auto ph = static_cast<common::PhaseProfile::Phase>(p);
-            const double d =
-                prof->seconds(ph) - ph0[static_cast<std::size_t>(p)];
-            out.phase_s[static_cast<std::size_t>(p)] += d;
-            const auto ns = static_cast<std::int64_t>(d * 1e9);
-            if (ns <= 0) continue;
-            tr->add(std::string("core.") + common::PhaseProfile::name(ph),
-                    cursor, cursor + ns, span.index(), sid);
-            cursor += ns;
-          }
-        }
-      }
+      if (root && timed) out.step_s.push_back(seconds_since(ts));
+    }
+    if (traced && timed) {
+      accumulate(meters, m0, read_meters(sim));
+      if (root && prof)
+        for (int p = 0; p < kNumPhases; ++p)
+          out.phase_s[static_cast<std::size_t>(p)] +=
+              prof->seconds(static_cast<common::PhaseProfile::Phase>(p)) -
+              ph0[static_cast<std::size_t>(p)];
     }
     if (cfg.ckpt_every > 0 && s % cfg.ckpt_every == 0) {
       // The guarded runner's order: scan health, then save (both are
@@ -374,17 +360,17 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
       auto th = Clock::now();
       app::SolverHealth h;
       {
-        Scope hs(tr, "app.health", parent, solve_id);
+        Scope hs(tr, "app.health", parent, s);
         h = sim.health();
       }
       if (root && traced) out.health_s.push_back(seconds_since(th));
       if (!h.healthy(false))
         throw std::runtime_error("unhealthy state at step " +
                                  std::to_string(s) + ": " + h.describe());
-      const fs::path path = solve_dir / ("jet.ckpt" + std::to_string(s));
+      const fs::path path = dir / ("jet.ckpt" + std::to_string(s));
       th = Clock::now();
       {
-        Scope cs(tr, "io.save_checkpoint", parent, solve_id);
+        Scope cs(tr, "io.save_checkpoint", parent, s);
         run->save_checkpoint(path.string());
       }
       if (root) {
@@ -392,6 +378,7 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
           out.save_s.push_back(seconds_since(th));
           out.ckpt_bytes = static_cast<double>(checkpoint_bytes(path));
         }
+        // Keep only the newest checkpoint (the one a read-back needs).
         if (!last_ckpt.empty()) remove_checkpoint(last_ckpt);
         last_ckpt = path;
       }
@@ -400,7 +387,7 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
   if (root && traced) out.sweeps = sim.sigma_sweeps_done() - out.sweeps;
 
   {
-    Scope rs(tr, "cases.result", parent, solve_id);
+    Scope rs(tr, "cases.result", parent, 0);
     const cases::RunResult res = run->result();
     if (root) {
       out.state_fnv = res.state_fnv;
@@ -415,19 +402,19 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
         out.unphysical = buf;
       }
     }
-    out.dt_fnv[ri] = res.dt_fnv;
+    out.dt_fnv[static_cast<std::size_t>(rank)] = res.dt_fnv;
   }
 
   if (traced) {
     if (!sim.distributed()) {
       const auto th = Clock::now();
       {
-        Scope hs(tr, "app.health", parent, solve_id);
+        Scope hs(tr, "app.health", parent, 0);
         (void)sim.health();
       }
       out.health_s.push_back(seconds_since(th));
       if constexpr (std::is_same_v<typename Policy::storage_t, common::half>) {
-        Scope hs(tr, "common.half_lanes", parent, solve_id);
+        Scope hs(tr, "common.half_lanes", parent, 0);
         probe_half_lanes(sim.state()[0], out);
       }
     } else {
@@ -435,7 +422,7 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
       const sim::Comm& comm = sim.dist().comm();
       const auto ta = Clock::now();
       {
-        Scope as(tr, "sim.allreduce_min", parent, solve_id);
+        Scope as(tr, "sim.allreduce_min", parent, 0);
         for (int i = 0; i < kRounds; ++i)
           (void)comm.allreduce_min_global(static_cast<double>(rank + i));
       }
@@ -443,7 +430,7 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
       if (root && !last_ckpt.empty()) {
         const auto tl = Clock::now();
         {
-          Scope ls(tr, "io.load_checkpoint", parent, solve_id);
+          Scope ls(tr, "io.load_checkpoint", parent, 0);
           run->load_checkpoint(last_ckpt.string());
         }
         out.load_s.push_back(seconds_since(tl));
@@ -451,15 +438,17 @@ void solve_rank(const Config& cfg, const cases::CaseSpec& spec, int rank,
     }
   }
 
-  Scope ds(tr, "cases.~CaseRun", parent, solve_id);
-  run.reset();
+  {
+    Scope ds(tr, "cases.~CaseRun", parent, 0);
+    run.reset();
+  }
+  out.meters[static_cast<std::size_t>(rank)] = meters;
 }
 
 template <class Policy>
-Solve run_solve(const Config& cfg, const cases::CaseSpec& spec, long solve_id,
-                Tracer* tr) {
-  const fs::path solve_dir = cfg.dir / ("solve" + std::to_string(solve_id));
-  fs::create_directories(solve_dir);
+Solve run_solve(const Config& cfg, const cases::CaseSpec& spec, Tracer* tr) {
+  const fs::path dir = cfg.dir / "solve";
+  fs::create_directories(dir);
   const auto R = static_cast<std::size_t>(cfg.ranks);
   Solve out;
   out.dt_fnv.assign(R, 0);
@@ -468,21 +457,23 @@ Solve run_solve(const Config& cfg, const cases::CaseSpec& spec, long solve_id,
   const bool traced = tr != nullptr;
 
   const auto t0 = Clock::now();
-  Scope solve_span(tr, "solve", -1, solve_id);
-  const int parent = solve_span.index();
-  for_each_rank(cfg.ranks, [&](int r) {
-    try {
-      solve_rank<Policy>(cfg, spec, r, solve_dir, t0, traced,
-                         r == 0 ? tr : nullptr, parent, solve_id, out);
-    } catch (const std::exception& e) {
-      out.errors[static_cast<std::size_t>(r)] = e.what();
-    } catch (...) {
-      out.errors[static_cast<std::size_t>(r)] = "unknown exception";
-    }
-  });
+  {
+    Scope solve_span(tr, "solve", -1, 0);
+    const int parent = solve_span.index();
+    for_each_rank(cfg.ranks, [&](int r) {
+      try {
+        solve_rank<Policy>(cfg, spec, r, dir, t0, traced,
+                           r == 0 ? tr : nullptr, parent, out);
+      } catch (const std::exception& e) {
+        out.errors[static_cast<std::size_t>(r)] = e.what();
+      } catch (...) {
+        out.errors[static_cast<std::size_t>(r)] = "unknown exception";
+      }
+    });
+  }
   out.wall_s = seconds_since(t0);
   std::error_code ec;
-  fs::remove_all(solve_dir, ec);
+  fs::remove_all(dir, ec);
   return out;
 }
 
@@ -490,8 +481,8 @@ Solve run_solve(const Config& cfg, const cases::CaseSpec& spec, long solve_id,
 /// directly (the part of the case set-up the cases layer delegates).
 template <class Policy>
 double probe_app_init(const Config& cfg, const cases::CaseSpec& spec,
-                      long probe_id, Tracer* tr) {
-  const fs::path dir = cfg.dir / ("init" + std::to_string(probe_id));
+                      Tracer* tr) {
+  const fs::path dir = cfg.dir / "init";
   fs::create_directories(dir);
   double root_s = 0.0;
   std::vector<std::string> errors(static_cast<std::size_t>(cfg.ranks));
@@ -501,7 +492,7 @@ double probe_app_init(const Config& cfg, const cases::CaseSpec& spec,
       const auto t0 = Clock::now();
       std::unique_ptr<app::Simulation<Policy>> sim;
       {
-        Scope s(r == 0 ? tr : nullptr, "app.Simulation+init", -1, probe_id);
+        Scope s(r == 0 ? tr : nullptr, "app.Simulation+init", -1, 0);
         sim = std::make_unique<app::Simulation<Policy>>(
             opts.to_params<Policy>(spec));
         sim->init(spec.initial());
@@ -535,17 +526,7 @@ double probe_barrier_us(int width, Tracer* tr) {
   return us[us.size() / 2];
 }
 
-// ---------------------------------------------------------- statistics ---
-
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const auto hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
-double median(const std::vector<double>& v) { return quantile(v, 0.5); }
+// -------------------------------------------------------------- output ---
 
 double peak_rss_mb() {
   std::ifstream f("/proc/self/status");
@@ -563,7 +544,7 @@ std::string hex(std::uint64_t v) {
   return b;
 }
 
-/// Failure reason of a solve ("" when it passed every check).
+/// Failure reason of the solve ("" when it passed every check).
 std::string check_solve(const Config& cfg, const Solve& s) {
   for (std::size_t r = 0; r < s.errors.size(); ++r)
     if (!s.errors[r].empty())
@@ -587,6 +568,9 @@ std::string number(double v) {
   std::snprintf(b, sizeof(b), "%.12g", std::isfinite(v) ? v : 0.0);
   return b;
 }
+std::string string_value(const std::string& s) {
+  return "\"" + common::telemetry::json_escape(s) + "\"";
+}
 
 /// Append `"key": value` to a JSON object body.
 void put(std::string& o, const std::string& key, const std::string& value) {
@@ -596,11 +580,11 @@ void put(std::string& o, const std::string& key, const std::string& value) {
 void put(std::string& o, const std::string& key, double v) {
   put(o, key, number(v));
 }
-void put(std::string& o, const std::string& key, const std::vector<double>& v,
-         double scale = 1.0) {
+void put(std::string& o, const std::string& key,
+         const std::vector<double>& v) {
   std::string a = "[";
   for (std::size_t i = 0; i < v.size(); ++i)
-    a += (i ? ", " : "") + number(v[i] * scale);
+    a += (i ? ", " : "") + number(v[i]);
   put(o, key, a + "]");
 }
 
@@ -613,169 +597,68 @@ void run(const Config& cfg) {
   spec.initial = [noise]() -> core::PrimFn {
     return app::single_engine().initial_condition(noise);
   };
-  const double cells = static_cast<double>(spec.grid(cfg.n).cells());
 
-  std::vector<Solve> plain, traced;
-  std::vector<std::string> failures;
-  long solve_id = 0;
   Tracer tracer;
-  const bool tracing = !cfg.trace.empty();
-  const double plain_budget = tracing ? 0.5 * cfg.seconds : cfg.seconds;
-  const auto t_run = Clock::now();
+  Tracer* tr = cfg.trace.empty() ? nullptr : &tracer;
+  const Solve s = run_solve<Policy>(cfg, spec, tr);
+  const std::string failure = check_solve(cfg, s);
+  if (!failure.empty())
+    std::fprintf(stderr, "igr_stepbench: solve failed: %s\n", failure.c_str());
 
-  // Closed loop of solves: a new one starts only if it is expected to end
-  // within the budget (at least one solve per phase).
-  const auto loop = [&](std::vector<Solve>& into, double budget, Tracer* tr) {
-    const auto t0 = Clock::now();
-    double last = 0.0;
-    while (into.empty() || seconds_since(t0) + last <= budget) {
-      into.push_back(run_solve<Policy>(cfg, spec, solve_id++, tr));
-      Solve& s = into.back();
-      last = s.wall_s;
-      s.failure = check_solve(cfg, s);
-      if (!s.failure.empty()) {
-        std::fprintf(stderr, "igr_stepbench: solve %ld failed: %s\n",
-                     solve_id - 1, s.failure.c_str());
-        failures.push_back(s.failure);
-      }
-    }
-  };
-  loop(plain, plain_budget, nullptr);
-  if (tracing) loop(traced, cfg.seconds - seconds_since(t_run), &tracer);
+  std::string o = "{";
+  put(o, "failure", string_value(failure));
+  put(o, "state_fnv", string_value(hex(s.state_fnv)));
+  put(o, "dt_fnv", string_value(hex(s.dt_fnv[0])));
+  put(o, "cells", static_cast<double>(spec.grid(cfg.n).cells()));
+  put(o, "warmup_steps", kWarmup);
+  put(o, "timed_steps", kSteps);
+  put(o, "setup_s", s.setup_s);
+  put(o, "wall_s", s.wall_s);
+  put(o, "step_s", s.step_s);
+  // Before the probes, which allocate on their own.
+  put(o, "peak_rss_mb", peak_rss_mb());
 
-  // Timings come from the solves that passed the output check only.
-  std::vector<double> step_s, setup_s, wall_s;
-  for (const Solve& s : plain) {
-    if (!s.failure.empty()) continue;
-    step_s.insert(step_s.end(), s.step_s.begin(), s.step_s.end());
-    setup_s.push_back(s.setup_s);
-    wall_s.push_back(s.wall_s);
-  }
-  const double grind_ns = median(step_s) * 1e9 / cells;
-  std::string e2e = "{";
-  put(e2e, "grind_ns", grind_ns);
-  put(e2e, "wall_s", median(wall_s));
-  put(e2e, "setup_s", median(setup_s));
-
-  std::string layers = "{";
-  if (tracing) {
-    std::vector<double> tstep, health, save, load, allreduce, widen, narrow;
-    std::array<double, kNumPhases> phase{};
-    double sweeps = 0.0, ckpt_bytes = 0.0;
-    RankMeters sim_tot;
-    for (const Solve& s : traced) {
-      if (!s.failure.empty()) continue;
-      tstep.insert(tstep.end(), s.step_s.begin(), s.step_s.end());
-      for (int p = 0; p < kNumPhases; ++p)
-        phase[static_cast<std::size_t>(p)] +=
-            s.phase_s[static_cast<std::size_t>(p)];
-      sweeps += static_cast<double>(s.sweeps);
-      for (const RankMeters& m : s.meters) accumulate(sim_tot, {}, m);
-      health.insert(health.end(), s.health_s.begin(), s.health_s.end());
-      save.insert(save.end(), s.save_s.begin(), s.save_s.end());
-      load.insert(load.end(), s.load_s.begin(), s.load_s.end());
-      allreduce.insert(allreduce.end(), s.allreduce_s.begin(),
-                       s.allreduce_s.end());
-      widen.insert(widen.end(), s.widen_gbps.begin(), s.widen_gbps.end());
-      narrow.insert(narrow.end(), s.narrow_gbps.begin(), s.narrow_gbps.end());
-      ckpt_bytes = std::max(ckpt_bytes, s.ckpt_bytes);
-    }
-    const double nsteps = static_cast<double>(tstep.size());
-    const double per_cell_step = 1e9 / (cells * std::max(1.0, nsteps));
-    put(layers, "cases.step_ms_p50", quantile(tstep, 0.5) * 1e3);
-    put(layers, "cases.step_ms_p90", quantile(tstep, 0.9) * 1e3);
-    put(layers, "cases.steps_timed", nsteps);
-    put(layers, "trace.overhead_pct",
-        (median(tstep) * 1e9 / cells / grind_ns - 1.0) * 100.0);
-
-    std::vector<double> init;
-    for (long i = 0; i < 3; ++i)
-      init.push_back(probe_app_init<Policy>(cfg, spec, i, &tracer));
-    put(layers, "app.init_ms", median(init) * 1e3);
-    put(layers, "app.health_ms", median(health) * 1e3);
-
-    static constexpr const char* kPhaseKeys[kNumPhases] = {
-        "core.bc_ns", "core.sigma_source_ns", "core.sigma_sweeps_ns",
-        "core.flux_ns", "core.rk_dt_ns"};
-    double phases_total = 0.0;
-    double step_total = 0.0;
-    for (double s : tstep) step_total += s;
-    for (int p = 0; p < kNumPhases; ++p) {
-      put(layers, kPhaseKeys[p], phase[static_cast<std::size_t>(p)] *
-                                     per_cell_step);
-      phases_total += phase[static_cast<std::size_t>(p)];
-    }
-    put(layers, "core.unattributed_ns",
-        (step_total - phases_total) * per_cell_step);
-    put(layers, "core.sigma_sweeps_per_step", sweeps / std::max(1.0, nsteps));
-
-    put(layers, "common.exec_barrier_us",
-        probe_barrier_us(cfg.threads, &tracer));
-    put(layers, "common.half_widen_gbps", median(widen));
-    put(layers, "common.half_narrow_gbps", median(narrow));
-
-    // Per rank per step (the meters sum over ranks).
-    const double rank_steps = std::max(1.0, nsteps * cfg.ranks);
-    put(layers, "sim.halo_wait_ms",
-        static_cast<double>(sim_tot.wait_ns) * 1e-6 / rank_steps);
-    put(layers, "sim.halo_epochs_per_step",
-        static_cast<double>(sim_tot.wait_epochs) / rank_steps);
-    put(layers, "sim.wire_mb_per_step",
-        static_cast<double>(sim_tot.wire_bytes) * 1e-6 / rank_steps);
-    put(layers, "sim.frames_per_step",
-        static_cast<double>(sim_tot.frames) / rank_steps);
-    put(layers, "sim.tcp_mb_per_step",
-        static_cast<double>(sim_tot.tcp_bytes) * 1e-6 / rank_steps);
-    put(layers, "sim.allreduce_us", median(allreduce) * 1e6);
-
-    const double ckpt_mb = ckpt_bytes * 1e-6;
-    const double w = median(save), r = median(load);
-    put(layers, "io.ckpt_write_ms", w * 1e3);
-    put(layers, "io.ckpt_read_ms", r * 1e3);
-    put(layers, "io.ckpt_mb", ckpt_mb);
-    put(layers, "io.ckpt_write_mbps", w > 0.0 ? ckpt_mb / w : 0.0);
-    put(layers, "io.ckpt_read_mbps", r > 0.0 ? ckpt_mb / r : 0.0);
+  if (tr) {
+    RankMeters m;  // Summed over ranks.
+    for (const RankMeters& r : s.meters) accumulate(m, {}, r);
+    std::string t = "{";
+    put(t, "phase_s",
+        std::vector<double>(s.phase_s.begin(), s.phase_s.end()));
+    put(t, "sigma_sweeps", static_cast<double>(s.sweeps));
+    put(t, "halo_wait_s", 1e-9 * static_cast<double>(m.wait_ns));
+    put(t, "halo_epochs", static_cast<double>(m.wait_epochs));
+    put(t, "wire_bytes", static_cast<double>(m.wire_bytes));
+    put(t, "frames", static_cast<double>(m.frames));
+    put(t, "tcp_bytes", static_cast<double>(m.tcp_bytes));
+    put(t, "health_s", s.health_s);
+    put(t, "ckpt_write_s", s.save_s);
+    put(t, "ckpt_read_s", s.load_s);
+    put(t, "ckpt_bytes", s.ckpt_bytes);
+    put(t, "allreduce_s", s.allreduce_s);
+    put(t, "half_widen_gbps", s.widen_gbps);
+    put(t, "half_narrow_gbps", s.narrow_gbps);
+    put(t, "app_init_s", probe_app_init<Policy>(cfg, spec, tr));
+    put(t, "exec_barrier_us", probe_barrier_us(cfg.threads, tr));
 
     if (!common::telemetry::write_trace(cfg.trace, {tracer.chrome_fragment()}))
       throw std::runtime_error("cannot write trace " + cfg.trace);
-
-    // Self time per span name, summed over the traced run.
+    // Self time per span name.
     std::map<std::string, double> self_ms;
     const auto self = tracer.self_ns();
     for (std::size_t i = 0; i < self.size(); ++i)
       self_ms[tracer.spans()[i].name] += 1e-6 * static_cast<double>(self[i]);
     std::string st = "{";
     for (const auto& [name, ms] : self_ms) put(st, name, ms);
-    std::printf("{\"self_ms\": %s}}\n", st.c_str());
+    put(t, "self_ms", st + "}");
+    put(o, "traced", t + "}");
   }
-  layers += "}";
-  put(e2e, "peak_rss_mb", peak_rss_mb());
-  e2e += "}";
 
-  std::string samples = "{";
-  put(samples, "step_ms", step_s, 1e3);
-  put(samples, "setup_s", setup_s);
-  put(samples, "wall_s", wall_s);
-  samples += "}";
-  const Solve& first = plain.front();
-  std::string errs = "[";
-  for (std::size_t i = 0; i < failures.size(); ++i)
-    errs += (i ? ", \"" : "\"") +
-            common::telemetry::json_escape(failures[i]) + "\"";
-  errs += "]";
-  namespace tel = common::telemetry;
-  std::printf(
-      "{\"attempted\": %zu, \"failed\": %zu, \"failures\": %s, "
-      "\"state_fnv\": \"%s\", \"dt_fnv\": \"%s\", "
-      "\"steps_timed\": %zu, \"cells\": %.0f, \"end_to_end\": %s, "
-      "\"per_layer\": %s, \"samples\": %s, \"build\": {\"compiler\": "
-      "\"%s\", \"build_type\": \"%s\", \"flags\": \"%s\"}}\n",
-      plain.size() + traced.size(), failures.size(), errs.c_str(),
-      hex(first.state_fnv).c_str(), hex(first.dt_fnv[0]).c_str(),
-      step_s.size(), cells, e2e.c_str(), layers.c_str(), samples.c_str(),
-      tel::json_escape(IGR_BENCH_COMPILER).c_str(),
-      tel::json_escape(IGR_BENCH_BUILD_TYPE).c_str(),
-      tel::json_escape(IGR_BENCH_FLAGS).c_str());
+  std::string b = "{";
+  put(b, "compiler", string_value(IGR_BENCH_COMPILER));
+  put(b, "build_type", string_value(IGR_BENCH_BUILD_TYPE));
+  put(b, "flags", string_value(IGR_BENCH_FLAGS));
+  put(o, "build", b + "}");
+  std::printf("%s}\n", o.c_str());
 }
 
 std::uint64_t parse_hex(cli::Args& args) {
@@ -799,11 +682,6 @@ int usable_cores() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Every solve allocates its fields afresh, as a new run would: serve
-  // large blocks from fresh mappings so that a later solve neither reuses
-  // pages an earlier one faulted in nor inherits its heap fragmentation
-  // (set-up time and peak RSS then do not depend on how many solves ran).
-  mallopt(M_MMAP_THRESHOLD, 1 << 20);
   Config cfg;
   cli::Args args("igr_stepbench", argc, argv);
   while (args.next()) {
@@ -817,14 +695,8 @@ int main(int argc, char** argv) {
       cfg.ranks = args.int_value(1, 64);
     } else if (args.is("--threads")) {
       cfg.threads = args.int_value(1, 256);
-    } else if (args.is("--warmup")) {
-      cfg.warmup = args.int_value(0, 1000);
-    } else if (args.is("--steps")) {
-      cfg.steps = args.int_value(1, 100000);
     } else if (args.is("--ckpt-every")) {
       cfg.ckpt_every = args.int_value(0, 100000);
-    } else if (args.is("--seconds")) {
-      cfg.seconds = args.double_value();
     } else if (args.is("--noise")) {
       cfg.noise = args.double_value();
     } else if (args.is("--dir")) {
@@ -840,7 +712,6 @@ int main(int argc, char** argv) {
     }
   }
   if (cfg.dir.empty()) args.die("--dir is required");
-  if (!(cfg.seconds > 0.0)) args.die("--seconds must be > 0");
 
   // Fixed core budget: every rank's exec team is explicit, the OpenMP
   // runtime agrees with it, and the compute threads fit the cores.
