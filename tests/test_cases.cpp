@@ -327,35 +327,37 @@ TEST(CaseCheckpoint, RestartIsLayoutAgnosticAndBitwise) {
   fs::remove(path + ".sigma");
 }
 
-/// Golden FNV-1a fingerprints of the conserved state after each case's
-/// golden run (golden_n, golden_steps, FP64, defaults otherwise).  Any bit
-/// of any interior value changing changes these — the tightest regression
-/// net the suite has.  The FP-reproducibility flags the build pins
+/// Golden FNV-1a fingerprints of each case's golden run (golden_n,
+/// golden_steps, FP64, defaults otherwise): the conserved state after the
+/// run, and the whole per-step dt trajectory.  Any bit of any interior
+/// value or of any dt changing changes these — the tightest regression net
+/// the suite has.  The FP-reproducibility flags the build pins
 /// (-ffp-contract=off, SLP vectorization off) are what make them stable
 /// across rebuilds and rank layouts.
 ///
 /// Re-record after an *intentional* numerics change with
 ///   ./run_case --case all --smoke --json /tmp/cases.json
-/// and copy each case's "state_fnv".
+/// and copy each case's "state_fnv" and "dt_fnv".
 TEST(CaseGolden, StateFingerprintsAreBitStable) {
   const struct {
     const char* name;
     std::uint64_t fnv;
+    std::uint64_t dt_fnv;
   } kGolden[] = {
-      {"sod-x", 0x1d91a79a50229f98ull},
-      {"sod-y", 0xcaa225115c9c6e81ull},
-      {"sod-z", 0x64d99e1c63b9f210ull},
-      {"lax-x", 0xbb1ad561d9e67602ull},
-      {"lax-y", 0x9cef1fda93283a40ull},
-      {"lax-z", 0x088ad276371eb754ull},
-      {"sedov", 0x1f1bc47afe75ddf1ull},
-      {"shock-bubble", 0x886f2e5041819c48ull},
-      {"taylor-green", 0x406b98d0b3c81562ull},
-      {"isentropic-vortex", 0x26285f28467a6fddull},
-      {"kelvin-helmholtz", 0xa5544ae0c4cad4c7ull},
-      {"jet-single", 0x709213cc98a6a1e8ull},
-      {"jet-three", 0x69bd0b0b7f8f3232ull},
-      {"jet-33", 0x885c6e9797502e1aull},
+      {"sod-x", 0x1d91a79a50229f98ull, 0x0a6caab339577c5aull},
+      {"sod-y", 0xcaa225115c9c6e81ull, 0x7d82b4712b84ddb9ull},
+      {"sod-z", 0x64d99e1c63b9f210ull, 0xa91f285bdc2fe220ull},
+      {"lax-x", 0xbb1ad561d9e67602ull, 0x1726113019a4f5ffull},
+      {"lax-y", 0x9cef1fda93283a40ull, 0x1726113019a4f5ffull},
+      {"lax-z", 0x088ad276371eb754ull, 0xa7021ba0782ff7cdull},
+      {"sedov", 0x1f1bc47afe75ddf1ull, 0x3f692961152a5835ull},
+      {"shock-bubble", 0x886f2e5041819c48ull, 0x74430e82c2113664ull},
+      {"taylor-green", 0x406b98d0b3c81562ull, 0xbe9552982658e5bbull},
+      {"isentropic-vortex", 0x26285f28467a6fddull, 0xf8e90ee2369ebb15ull},
+      {"kelvin-helmholtz", 0xa5544ae0c4cad4c7ull, 0x5d50c8888e4896fdull},
+      {"jet-single", 0x709213cc98a6a1e8ull, 0xfec462599a1a3186ull},
+      {"jet-three", 0x69bd0b0b7f8f3232ull, 0xde723861054a6226ull},
+      {"jet-33", 0x885c6e9797502e1aull, 0xdaf966e4206486efull},
   };
   // Every registered case must carry a fingerprint — adding a case without
   // recording one fails here, on purpose.
@@ -368,6 +370,44 @@ TEST(CaseGolden, StateFingerprintsAreBitStable) {
     EXPECT_EQ(r.state_fnv, gold.fnv)
         << "state drifted: run produced 0x" << std::hex << r.state_fnv
         << ", golden table has 0x" << gold.fnv;
+    EXPECT_EQ(r.dt_fnv, gold.dt_fnv)
+        << "dt trajectory drifted: run produced 0x" << std::hex << r.dt_fnv
+        << ", golden table has 0x" << gold.dt_fnv;
+  }
+}
+
+/// Decomposed red–black Gauss–Seidel pins.  Block Gauss–Seidel sweeps read
+/// previous-sweep halo values, so these runs are not bitwise-equal to a
+/// single domain and no equivalence test can guard them; the golden
+/// fingerprints are their only bitwise check.  jet-single steps on 1x1x2
+/// ranks (a z split, the layout of the TCP benchmark workload) and
+/// taylor-green on 2x1x1 (an x split of an all-periodic domain), both with
+/// in-process ranks.  Re-record with
+///   ./run_case --case NAME --ranks RX,RY,RZ --n GOLDEN_N --steps GOLDEN_STEPS
+TEST(CaseGolden, DecomposedGaussSeidelFingerprintsAreBitStable) {
+  const struct {
+    const char* name;
+    std::array<int, 3> ranks;
+    std::uint64_t fnv;
+    std::uint64_t dt_fnv;
+  } kGolden[] = {
+      {"jet-single", {1, 1, 2}, 0x35726f34a9b41697ull, 0x8676bab1bd7730e1ull},
+      {"taylor-green", {2, 1, 1}, 0x55a5c72b231513d3ull, 0xbbcd06f9752f4b83ull},
+  };
+  for (const auto& gold : kGolden) {
+    SCOPED_TRACE(gold.name);
+    const auto* spec = cases::find(gold.name);
+    ASSERT_NE(spec, nullptr);
+    auto opts = cases::golden_options(*spec);
+    opts.ranks = gold.ranks;
+    ASSERT_FALSE(opts.jacobi_sweeps);
+    const auto r = cases::run_case<Fp64>(*spec, opts);
+    EXPECT_EQ(r.state_fnv, gold.fnv)
+        << "state drifted: run produced 0x" << std::hex << r.state_fnv
+        << ", golden table has 0x" << gold.fnv;
+    EXPECT_EQ(r.dt_fnv, gold.dt_fnv)
+        << "dt trajectory drifted: run produced 0x" << std::hex << r.dt_fnv
+        << ", golden table has 0x" << gold.dt_fnv;
   }
 }
 
