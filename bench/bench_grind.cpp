@@ -124,8 +124,6 @@ void write_json(const std::string& path, const std::string& label, int n,
   std::fprintf(f, "  \"metric\": \"grind_ns_per_cell_step\",\n");
   std::fprintf(f, "  \"half_backend\": \"%s\",\n",
                std::string(common::half_batch::backend_name()).c_str());
-  std::fprintf(f, "  \"fused_rhs\": %s,\n",
-               bench::bench_overrides().fused_rhs ? "true" : "false");
   std::fprintf(f, "  \"grid\": [%d, %d, %d],\n", n, n, n + n / 2);
   std::fprintf(f, "  \"warmup_steps\": %d,\n", warmup);
   std::fprintf(f, "  \"timed_steps\": %d,\n", steps);
@@ -173,10 +171,6 @@ int main(int argc, char** argv) {
   while (args.next()) {
     if (args.is("--smoke")) {
       smoke = true;
-    } else if (args.is("--phased")) {
-      bench::bench_overrides().fused_rhs = false;
-    } else if (args.is("--block")) {
-      bench::bench_overrides().fused_flux_block = args.int_value(1);
     } else if (args.is("--n")) {
       n = args.int_value(1);
     } else if (args.is("--warmup")) {

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "app/simulation.hpp"
 #include "cases/case.hpp"
@@ -18,15 +17,10 @@
 namespace igr::bench {
 
 /// Process-wide bench overrides (CLI-settable), applied by make_case_sim /
-/// make_jet_sim: `fused_rhs` flips the IGR solver between the fused
-/// pipeline (default) and the phased reference — `bench_grind --phased` —
-/// so pre/post grind comparisons can alternate both schedules from one
-/// binary; `exec_threads` widens the in-rank kernel teams (`bench_grind
-/// --threads`).
+/// make_jet_sim: `exec_threads` widens the in-rank kernel teams
+/// (`bench_grind --threads`).
 struct BenchOverrides {
-  bool fused_rhs = true;
-  int fused_flux_block = 0;  ///< 0 = keep the SolverConfig default.
-  int exec_threads = 0;      ///< Exec-space width (0 = ambient).
+  int exec_threads = 0;  ///< Exec-space width (0 = ambient).
 };
 inline BenchOverrides& bench_overrides() {
   static BenchOverrides o;
@@ -35,9 +29,7 @@ inline BenchOverrides& bench_overrides() {
 
 /// Any registered case as a bench workload, built through the front-door
 /// options layer: a cases::RunOptions request (bench overrides folded in)
-/// lowered by RunOptions::to_params, plus the bench-only knobs the options
-/// layer deliberately does not carry (per-phase timing, the fused flux
-/// block-size sweep).
+/// lowered by RunOptions::to_params.
 template <class Policy>
 app::Simulation<Policy> make_case_sim(const cases::CaseSpec& spec,
                                       app::SchemeKind scheme, int n = 32,
@@ -47,14 +39,10 @@ app::Simulation<Policy> make_case_sim(const cases::CaseSpec& spec,
   opts.n = n;
   opts.scheme = scheme;
   opts.recon = recon;
-  opts.fused_rhs = bench_overrides().fused_rhs;
   opts.threads = bench_overrides().exec_threads;
   // Per-phase attribution for the bench JSON (sub-0.5% sampling overhead).
   opts.phase_timing = true;
-  auto params = opts.to_params<Policy>(spec);
-  if (bench_overrides().fused_flux_block > 0)
-    params.cfg.fused_flux_block = bench_overrides().fused_flux_block;
-  app::Simulation<Policy> sim(std::move(params));
+  app::Simulation<Policy> sim(opts.to_params<Policy>(spec));
   sim.init(spec.initial());
   return sim;
 }

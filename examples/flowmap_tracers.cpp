@@ -9,17 +9,26 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "core/igr_solver1d.hpp"
 #include "io/csv_writer.hpp"
 
 int main(int argc, char** argv) {
   using namespace igr;
   using core::IgrSolver1D;
+  namespace ccli = common::cli;
 
-  const double alpha = argc > 1 ? std::atof(argv[1]) : 1e-3;
+  const char* prog = "flowmap_tracers";
+  if (argc > 2) ccli::die(prog, "usage: flowmap_tracers [alpha]");
+  const double alpha =
+      argc > 1 ? ccli::parse_double(prog, "alpha", argv[1]) : 1e-3;
+  // A negative alpha would silently select the solver's dx^2 default.
+  if (!(std::isfinite(alpha) && alpha >= 0.0))
+    ccli::die(prog, std::string("bad alpha '") + argv[1] +
+                        "' (must be finite and >= 0)");
 
   IgrSolver1D::Options opt;
   opt.pressureless = true;

@@ -8,13 +8,16 @@
 /// flux near the base plate between nozzles.
 ///
 ///   $ ./super_heavy_33 [n=32] [steps=30]
+///
+/// n is capped at 512 (a laptop-scale example: n = 512 already stores
+/// ~10 GB); larger runs go through `run_case --case jet-33 --n N`.
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "app/jet_config.hpp"
 #include "app/simulation.hpp"
+#include "common/cli.hpp"
 
 namespace {
 
@@ -50,9 +53,16 @@ double base_recirculation(const igr::app::Simulation<Policy>& sim,
 
 int main(int argc, char** argv) {
   using namespace igr;
+  namespace ccli = common::cli;
 
-  const int n = argc > 1 ? std::atoi(argv[1]) : 32;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 30;
+  const char* prog = "super_heavy_33";
+  if (argc > 3) ccli::die(prog, "usage: super_heavy_33 [n] [steps]");
+  const int n = argc > 1 ? static_cast<int>(ccli::parse_long(
+                               prog, "n", argv[1], 1, 512))
+                         : 32;
+  const int steps = argc > 2 ? static_cast<int>(ccli::parse_long(
+                                   prog, "steps", argv[2], 0, 1000000))
+                             : 30;
 
   const auto jet = app::super_heavy_33();
 

@@ -5,18 +5,28 @@
 /// plume diagnostics, and writes VTK snapshots for visualization.
 ///
 ///   $ ./three_engine_plume [n=24] [steps=40]
+///
+/// n is capped at 512 (a laptop-scale example: n = 512 already stores
+/// ~7 GB); larger runs go through `run_case --case jet-three --n N`.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "app/jet_config.hpp"
 #include "app/simulation.hpp"
+#include "common/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace igr;
+  namespace ccli = common::cli;
 
-  const int n = argc > 1 ? std::atoi(argv[1]) : 24;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 40;
+  const char* prog = "three_engine_plume";
+  if (argc > 3) ccli::die(prog, "usage: three_engine_plume [n] [steps]");
+  const int n = argc > 1 ? static_cast<int>(ccli::parse_long(
+                               prog, "n", argv[1], 1, 512))
+                         : 24;
+  const int steps = argc > 2 ? static_cast<int>(ccli::parse_long(
+                                   prog, "steps", argv[2], 0, 1000000))
+                             : 40;
 
   const auto jet = app::three_engine_row();
 

@@ -488,7 +488,7 @@ void IgrSolver3D<Policy>::compute_sigma_source(common::StateField3<S>& q) {
   // taps read.
   const int nz = grid_.nz();
   const int ng = q.ng();
-  const int chunk = std::max(flux_block(), 4);
+  const int chunk = kFluxBlock;
   int ir_hi = -ng;  // first ghosted plane not yet refreshed
   auto ensure_ir = [&](int upto) {  // exclusive
     upto = std::min(upto, nz + ng);
@@ -1269,36 +1269,22 @@ void IgrSolver3D<Policy>::compute_fluxes_region(common::StateField3<S>& q,
          rhs.nz() == grid_.nz());
   assert(q.ng() == sigma_.ng() && rhs.ng() == sigma_.ng());
   if (prepare) prepare_flux_pass(q);
-  if (cfg_.fused_rhs) {
-    // Stream the region in k-blocks: all three sweeps of a block run while
-    // its planes are cache-resident.  Blocks partition the region, each
-    // cell still sees exactly the x-overwrite → y → z accumulation of one
-    // whole-region call, and every face flux is a pure function of its
-    // stencil — so the split is bitwise-free, the same property the
-    // interior/boundary overlap split relies on.  (The z seams re-evaluate
-    // one face per block; flux_block() amortizes that.)
-    const auto kz = static_cast<std::size_t>(2);
-    const int B = flux_block();
-    fv::dispatch_recon(recon_, [&](auto recon) {
-      for (int b0 = reg.lo[kz]; b0 < reg.hi[kz]; b0 += B) {
-        CellRegion sub = reg;
-        sub.lo[kz] = b0;
-        sub.hi[kz] = std::min(b0 + B, reg.hi[kz]);
-        flux_stream_all(q, rhs, recon, sub);
-      }
-    });
-    return;
-  }
-  fv::dispatch_recon(recon_,
-                     [&](auto recon) { flux_stream_all(q, rhs, recon, reg); });
-}
-
-template <class Policy>
-int IgrSolver3D<Policy>::flux_block() const {
-  // The trailing RK update of block b-1 may only touch planes the z-flux
-  // stencil of block b no longer reads, which needs B >= the stencil
-  // radius (the field ghost depth).
-  return std::max(cfg_.fused_flux_block, sigma_.ng());
+  // Stream the region in k-blocks: all three sweeps of a block run while
+  // its planes are cache-resident.  Blocks partition the region, each
+  // cell still sees exactly the x-overwrite → y → z accumulation of one
+  // whole-region call, and every face flux is a pure function of its
+  // stencil — so the split is bitwise-free, the same property the
+  // interior/boundary overlap split relies on.  (The z seams re-evaluate
+  // one face per block; kFluxBlock amortizes that.)
+  const auto kz = static_cast<std::size_t>(2);
+  fv::dispatch_recon(recon_, [&](auto recon) {
+    for (int b0 = reg.lo[kz]; b0 < reg.hi[kz]; b0 += kFluxBlock) {
+      CellRegion sub = reg;
+      sub.lo[kz] = b0;
+      sub.hi[kz] = std::min(b0 + kFluxBlock, reg.hi[kz]);
+      flux_stream_all(q, rhs, recon, sub);
+    }
+  });
 }
 
 template <class Policy>
@@ -1367,22 +1353,27 @@ void IgrSolver3D<Policy>::compute_rhs(common::StateField3<S>& q,
   }
 
   if (alpha_ > 0.0 && cfg_.sigma_sweeps > 0) {
-    {
-      common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      build_sigma_source(q);
-    }
-    common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
-    for (int s = 0; s < cfg_.sigma_sweeps; ++s) {
-      fill_sigma_ghosts(sigma_, sigma_bc_, 1);  // sweeps need one layer
-      sigma_sweep(q);
-    }
-    fill_sigma_boundary();  // reconstruction needs the full depth
+    phased_sigma_solve(q);
   } else {
     sigma_.fill(S{});
   }
 
   common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
   compute_fluxes(q, rhs);
+}
+
+template <class Policy>
+void IgrSolver3D<Policy>::phased_sigma_solve(common::StateField3<S>& q) {
+  {
+    common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
+    build_sigma_source(q);
+  }
+  common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
+  for (int s = 0; s < cfg_.sigma_sweeps; ++s) {
+    fill_sigma_ghosts(sigma_, sigma_bc_, 1);  // sweeps need one layer
+    sigma_sweep(q);
+  }
+  fill_sigma_boundary();  // reconstruction needs the full depth
 }
 
 template <class Policy>
@@ -1394,7 +1385,7 @@ void IgrSolver3D<Policy>::compute_rhs_fused(common::StateField3<S>& q,
   }
   fused_sigma_phase(q);
   common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
-  compute_fluxes(q, rhs);  // streams k-blocks under cfg.fused_rhs
+  compute_fluxes(q, rhs);
 }
 
 template <class Policy>
@@ -1412,16 +1403,7 @@ void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
     // apply.  Periodic x/y faces are no obstacle: their wraps are per-plane
     // rim fills reading the same plane's post-previous-sweep interior,
     // exactly the snapshot the phased fill takes.
-    {
-      common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      build_sigma_source(q);
-    }
-    common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
-    for (int s = 0; s < cfg_.sigma_sweeps; ++s) {
-      fill_sigma_ghosts(sigma_, sigma_bc_, 1);
-      sigma_sweep(q);
-    }
-    fill_sigma_boundary();
+    phased_sigma_solve(q);
     return;
   }
   fused_sigma_pipeline(q);
@@ -1464,7 +1446,7 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   sigma_sweeps_done_ += static_cast<std::uint64_t>(sweeps);
   const bool rb = cfg_.sigma_gauss_seidel;
   const int depth = rb ? 2 * sweeps - 1 : sweeps - 1;
-  const int chunk = std::max(flux_block(), 4);
+  const int chunk = kFluxBlock;
   const C al = static_cast<C>(alpha_);
   const C dx = static_cast<C>(grid_.dx());
   const C dy = static_cast<C>(grid_.dy());
@@ -1659,7 +1641,7 @@ void IgrSolver3D<Policy>::fused_flux_rk(common::StateField3<S>& q,
   assert(q.nx() == grid_.nx() && q.ny() == grid_.ny() && q.nz() == grid_.nz());
   assert(q.ng() == sigma_.ng() && rhs.ng() == sigma_.ng());
   const int nz = grid_.nz();
-  const int B = flux_block();
+  const int B = kFluxBlock;
 
   // The RK write-back trails the flux front by one block: the z-flux lines
   // of block b read state planes down to b*B - 3, so once block b is swept,
@@ -1708,7 +1690,7 @@ void IgrSolver3D<Policy>::finish_step(double dt) {
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::step_fixed_fused(double dt) {
+void IgrSolver3D<Policy>::step_fixed(double dt) {
   grind_.begin_step();
   dt_rates_ = fv::CflRates{};
   for (int si = 0; si < 3; ++si) {
@@ -1731,28 +1713,11 @@ void IgrSolver3D<Policy>::step_fixed_fused(double dt) {
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::step_fixed(double dt) {
-  if (cfg_.fused_rhs) {
-    step_fixed_fused(dt);
-    return;
-  }
-  grind_.begin_step();
-  begin_step();
-  for (const auto& st : fv::kRk3Stages) {
-    compute_rhs(qstage_, rhs_);
-    common::PhaseScope t(profile_, common::PhaseProfile::kRkDt);
-    rk_update(st, dt);
-  }
-  finish_step(dt);
-  grind_.end_step();
-}
-
-template <class Policy>
 double IgrSolver3D<Policy>::step() {
   // The warm-start Sigma from the previous step feeds the wave-speed bound.
-  // A fused previous step already folded this exact reduction — same state,
+  // The previous step already folded this exact reduction — same state,
   // same Sigma, exact max/min — into its final RK traversal.
-  if (cfg_.fused_rhs && next_dt_valid_) {
+  if (next_dt_valid_) {
     const double dt = next_dt_;
     step_fixed(dt);
     return dt;

@@ -13,16 +13,17 @@
 /// families, and the Sigma source into one GPU kernel with thread-local
 /// temporaries, interleaving the elliptic solve with the x-direction sweep
 /// (Algorithm 1).  The CPU port realizes the same traversal discipline with
-/// a fused, k-plane-streaming RHS pipeline (SolverConfig::fused_rhs, the
-/// default): per RK stage, a rolling window of planes flows once through
-/// the Sigma-source build, the ≤5 warm-started relaxation sweeps (pipelined
-/// across planes as a red–black/Jacobi wavefront where the Sigma boundary
-/// handling permits), and the three flux sweeps streamed in k-blocks, with
-/// the SSP-RK3 convex update trailing the flux front and the CFL reduction
-/// for the next step's dt folded into the final stage's write-back.  Every
-/// slot of the pipeline reads exactly the values the phased schedule would
-/// show it, so results — state *and* dt — are bitwise-identical to the
-/// phased reference path kept behind `fused_rhs = false`.
+/// a fused, k-plane-streaming RHS pipeline — the only step schedule: per RK
+/// stage, a rolling window of planes flows once through the Sigma-source
+/// build, the ≤5 warm-started relaxation sweeps (pipelined across planes as
+/// a red–black/Jacobi wavefront unless Sigma wraps periodically along z),
+/// and the three flux sweeps streamed in k-blocks, with the SSP-RK3 convex
+/// update trailing the flux front and the CFL reduction for the next step's
+/// dt folded into the final stage's write-back.  Every slot of the pipeline
+/// reads exactly the values the phased composition of the piecewise API
+/// below would show it, so results — state *and* dt — are bitwise-identical
+/// to that composition (compute_rhs is its RHS; the tests step it as the
+/// reference, and sim::DistributedIgr follows it across ranks).
 
 #include <array>
 #include <cstdint>
@@ -84,9 +85,8 @@ class IgrSolver3D {
 
   /// RHS of the semi-discrete system for state `q` (ghosts are filled here).
   /// Public so tests can probe spatial accuracy and conservation directly.
-  /// This is the *phased* schedule — one full-grid pass per phase — kept as
-  /// the bitwise reference for the fused pipeline regardless of
-  /// cfg.fused_rhs (step_fixed is what dispatches on the toggle).
+  /// This is the *phased* composition — one full-grid pass per phase — the
+  /// bitwise reference for the fused pipeline step() runs.
   void compute_rhs(common::StateField3<S>& q, common::StateField3<S>& rhs);
 
   /// The fused plane-streaming evaluation of the same RHS: Sigma source →
@@ -137,8 +137,8 @@ class IgrSolver3D {
 
   // --- Piecewise API for distributed drivers (sim::DistributedIgr) ---
   // These expose the phases of compute_rhs so a driver can interleave halo
-  // exchanges in lockstep across ranks.  Single-rank use composes them in
-  // exactly the order compute_rhs does.
+  // exchanges between them.  Single-rank use composes them in exactly the
+  // order compute_rhs does.
 
   /// Physical-boundary ghost fill only (no Sigma work, no fluxes).
   void apply_domain_bc(common::StateField3<S>& q);
@@ -270,14 +270,21 @@ class IgrSolver3D {
     return {{0, 0, 0}, {grid_.nx(), grid_.ny(), grid_.nz()}};
   }
 
-  // --- Fused plane-streaming pipeline (cfg.fused_rhs) ---
-  /// k-block thickness of the streamed flux stage.  At least the ghost
-  /// depth: the trailing RK update of block b-1 must not touch planes the
-  /// z-flux stencil of block b still reads.
-  [[nodiscard]] int flux_block() const;
-  /// Ghost fill + Sigma solve of one RHS evaluation, plane-pipelined where
-  /// the Sigma boundary handling permits (see the .cpp for the wavefront
-  /// schedule and its dependency argument).
+  // --- Fused plane-streaming pipeline ---
+  /// k-block thickness of the streamed flux/RK stage (and of the source
+  /// build's chunks).  At least the ghost depth (3): the trailing RK update
+  /// of block b-1 must not touch planes the z-flux stencil of block b still
+  /// reads.  Larger blocks amortize the re-evaluated z-faces at block
+  /// seams; smaller blocks keep the rolling window cache-resident (8 was
+  /// measured best, see PERF.md).
+  static constexpr int kFluxBlock = 8;
+  /// Source build + sweeps + full-depth boundary fill as full-grid passes
+  /// (compute_rhs's Sigma solve; also the fused path's periodic-z case).
+  void phased_sigma_solve(common::StateField3<S>& q);
+  /// Sigma solve of one RHS evaluation, plane-pipelined unless Sigma wraps
+  /// periodically along z: then plane 0's sweep s waits for plane nz-1's
+  /// sweep s-1, no plane wavefront exists, and the sweeps run phased (see
+  /// the .cpp for the wavefront schedule and its dependency argument).
   void fused_sigma_phase(common::StateField3<S>& q);
   /// Source + sweeps + boundary fill as one skewed plane wavefront
   /// (Neumann Sigma ghosts only — a periodic wrap would need far-boundary
@@ -295,7 +302,6 @@ class IgrSolver3D {
   /// copy of q (±0*x + y == y for every y the copy construction can
   /// produce), which lets the fused step skip begin_step's 5N copy.
   void rk_stage1_planes(double dt, int k0, int k1);
-  void step_fixed_fused(double dt);
 
   mesh::Grid grid_;
   common::SolverConfig cfg_;
@@ -323,7 +329,7 @@ class IgrSolver3D {
 
   /// Next-step CFL cache: the fused final RK stage accumulates the CFL
   /// extrema over the freshly written state and warm Sigma — the same
-  /// values the phased step() scans at the top of the next step — so
+  /// values fv::compute_dt would scan at the top of the next step — so
   /// step() skips the dedicated 6N pass.
   fv::CflRates dt_rates_{};
   double next_dt_ = 0.0;

@@ -174,7 +174,7 @@ void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
                  int sweeps, bool gauss_seidel, SigmaBcSpec bc);
 
 /// A single relaxation pass using the *current* ghost values of `sigma`
-/// (no internal ghost fill).  Distributed drivers call this in lockstep with
+/// (no internal ghost fill).  Distributed drivers call this between
 /// halo exchanges; `sigma_solve` composes it with `fill_sigma_ghosts`.
 /// Jacobi passes write through `scratch` and swap.
 ///

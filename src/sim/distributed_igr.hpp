@@ -13,19 +13,20 @@
 /// Within a phase, ranks synchronize pairwise through Comm's posted-epoch
 /// halo pipeline (post / compute / complete), and both ends of each RHS
 /// hide a halo behind compute: the state z-exchange overlaps the interior
-/// Sigma-source build (DistOptions::overlap_state), and the final Sigma
-/// exchange overlaps the interior flux sweeps (DistOptions::overlap_halo) —
-/// a rank posts its faces, computes every line that touches no in-flight
-/// ghost, completes the exchange, then finishes the boundary shell.  The
-/// state and Sigma channels can additionally narrow their wire payload to
-/// binary16 (DistOptions::halo_wire), halving FP32 halo bytes.
+/// Sigma-source build, and the final Sigma exchange overlaps the interior
+/// flux sweeps — a rank posts its faces, computes every line that touches
+/// no in-flight ghost, completes the exchange, then finishes the boundary
+/// shell.  Both splits are pure per-point maps over disjoint cell sets, so
+/// they cannot change a bit.  The state and Sigma channels can additionally
+/// narrow their wire payload to binary16 (DistOptions::halo_wire), halving
+/// FP32 halo bytes.
 ///
 /// With Jacobi sweeps the decomposed run is *bitwise identical* to the
-/// single-domain run — independent of rank layout, of parallel vs. inline
-/// execution, and of the overlap split (test-enforced, including dt).  With
-/// Gauss–Seidel the block-local sweeps use previous-sweep halo values (block
-/// Gauss–Seidel), which converges to the same Sigma but is not bitwise equal
-/// — the same trade production codes make.
+/// single-domain run, independent of rank layout (test-enforced, including
+/// dt).  With Gauss–Seidel the block-local sweeps use previous-sweep halo
+/// values (block Gauss–Seidel), which converges to the same Sigma but is
+/// not bitwise equal — the same trade production codes make; golden
+/// fingerprints pin those runs instead.
 
 #include <array>
 #include <memory>
@@ -43,28 +44,13 @@ namespace igr::sim {
 
 /// Execution options for the rank-parallel driver.
 struct DistOptions {
-  /// One worker thread per rank with phase barriers (the production mode).
-  /// false: run every phase inline on the calling thread, rank by rank —
-  /// the lockstep reference schedule the concurrent one is validated
-  /// against bitwise.
-  bool parallel = true;
   /// Execution-space width of each rank's kernels (0 = divide the hardware
   /// evenly across ranks).  Scaling benches pin this to 1 so speedup
   /// measures rank parallelism alone.  A positive value is lowered into
   /// each rank solver's SolverConfig::exec_threads; 0 leaves the solvers
   /// on ambient width, which each worker thread pins to hw/ranks (OpenMP
-  /// builds only).  It has no effect in inline (parallel = false) mode —
-  /// there the kernels run under the calling thread's ambient settings,
-  /// which this driver deliberately never mutates.
+  /// builds only).
   int threads_per_rank = 0;
-  /// Overlap interior flux sweeps with the in-flight final Sigma exchange
-  /// (parallel mode only; results are bitwise identical either way).
-  bool overlap_halo = true;
-  /// Overlap each RK stage's final (z) state exchange with the interior
-  /// Sigma-source build — the source at planes 1..nz-2 reads no z ghost, so
-  /// it computes while the halo moves (parallel mode only; bitwise
-  /// identical either way, test-enforced).
-  bool overlap_state = true;
   /// Wire encoding of the state and Sigma halo channels (see
   /// Comm::WirePrecision).  kHalf halves FP32 halo traffic and quarters
   /// FP64's; 16-bit storage is already at wire width, so there it is a
@@ -124,15 +110,15 @@ class DistributedIgr {
     // width to hw/ranks, and non-OpenMP builds fall back to serial, which
     // keeps rank parallelism as the only concurrency in that case.
     common::SolverConfig rank_cfg = cfg;
-    if (opts_.parallel && opts_.threads_per_rank > 0)
+    if (opts_.threads_per_rank > 0)
       rank_cfg.exec_threads = opts_.threads_per_rank;
     for (const int r : local_ranks_) {
       ranks_.emplace_back(std::make_unique<core::IgrSolver3D<Policy>>(
           comm_.local_grid(r), rank_cfg, bc, recon));
     }
     team_ = std::make_unique<RankTeam>(
-        static_cast<int>(local_ranks_.size()), opts_.parallel,
-        opts_.threads_per_rank, comm_.ranks());
+        static_cast<int>(local_ranks_.size()), opts_.threads_per_rank,
+        comm_.ranks());
     dts_.resize(local_ranks_.size());
     grind_.set_cells_per_step(comm_.global_grid().cells());
   }
@@ -471,92 +457,48 @@ class DistributedIgr {
   /// Physical-face fill + interior-face exchange, interleaved per axis in
   /// the same x,y,z order as the single-domain ghost fill.
   void refresh_state_ghosts() {
-    if (team_->parallel()) {
-      run_phase([this](int r) {
-        auto comps = state_comps(r);
-        for (int axis = 0; axis < 3; ++axis) {
-          fill_state_bc_axis(r, axis);
-          comm_.post_axis(Comm::kChanState, r, comps.data(),
-                          common::kNumVars, axis);
-          if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
-                                   common::kNumVars, axis))
-            return;
-        }
-      });
-    } else {
+    run_phase([this](int r) {
+      auto comps = state_comps(r);
       for (int axis = 0; axis < 3; ++axis) {
-        for (const int r : local_ranks_) fill_state_bc_axis(r, axis);
-        for (const int r : local_ranks_) {
-          auto comps = state_comps(r);
-          comm_.post_axis(Comm::kChanState, r, comps.data(),
-                          common::kNumVars, axis);
-        }
-        for (const int r : local_ranks_) {
-          auto comps = state_comps(r);
-          comm_.complete_axis(Comm::kChanState, r, comps.data(),
-                              common::kNumVars, axis);
-        }
+        fill_state_bc_axis(r, axis);
+        comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars,
+                        axis);
+        if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
+                                 common::kNumVars, axis))
+          return;
       }
-    }
+    });
   }
 
   /// State ghost refresh + Sigma source build, with the z exchange of the
-  /// state overlapped by the source build's interior planes (which read no
-  /// z ghost).  The non-overlapped composition — full refresh, then full
-  /// build — is the bitwise reference: interior and boundary builds are
-  /// pure per-point maps over disjoint plane sets, so the split cannot
-  /// change a bit (test-enforced).
+  /// state overlapped by the source build's interior planes 1..nz-2 (which
+  /// read no z ghost).  Interior and boundary builds are pure per-point
+  /// maps over disjoint plane sets, so together they are bitwise one full
+  /// build.
   void refresh_state_and_build_source() {
-    if (team_->parallel() && opts_.overlap_state) {
-      run_phase([this](int r) {
-        auto& s = solver(r);
-        auto comps = state_comps(r);
-        for (int axis = 0; axis < 2; ++axis) {
-          fill_state_bc_axis(r, axis);
-          comm_.post_axis(Comm::kChanState, r, comps.data(),
-                          common::kNumVars, axis);
-          if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
-                                   common::kNumVars, axis))
-            return;
-        }
-        fill_state_bc_axis(r, 2);
+    run_phase([this](int r) {
+      auto& s = solver(r);
+      auto comps = state_comps(r);
+      for (int axis = 0; axis < 2; ++axis) {
+        fill_state_bc_axis(r, axis);
         comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars,
-                        2);
-        s.build_sigma_source_interior(s.stage_field());
+                        axis);
         if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
-                                 common::kNumVars, 2))
+                                 common::kNumVars, axis))
           return;
-        s.build_sigma_source_boundary(s.stage_field());
-      });
-    } else {
-      refresh_state_ghosts();
-      run_phase([this](int r) {
-        auto& s = solver(r);
-        s.build_sigma_source(s.stage_field());
-      });
-    }
+      }
+      fill_state_bc_axis(r, 2);
+      comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars, 2);
+      s.build_sigma_source_interior(s.stage_field());
+      if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
+                               common::kNumVars, 2))
+        return;
+      s.build_sigma_source_boundary(s.stage_field());
+    });
   }
 
   void refresh_sigma_ghosts() {
-    if (team_->parallel()) {
-      run_phase([this](int r) { sigma_ghost_phase(r, /*axes=*/3); });
-    } else {
-      refresh_sigma_ghosts_lockstep();
-    }
-  }
-
-  void refresh_sigma_ghosts_lockstep() {
-    for (int axis = 0; axis < 3; ++axis) {
-      for (const int r : local_ranks_) fill_sigma_bc_axis(r, axis);
-      for (const int r : local_ranks_) {
-        common::Field3<S>* sig = &solver(r).sigma_field();
-        comm_.post_axis(Comm::kChanSigma, r, &sig, 1, axis);
-      }
-      for (const int r : local_ranks_) {
-        common::Field3<S>* sig = &solver(r).sigma_field();
-        comm_.complete_axis(Comm::kChanSigma, r, &sig, 1, axis);
-      }
-    }
+    run_phase([this](int r) { sigma_ghost_phase(r, /*axes=*/3); });
   }
 
   /// Sigma bc-fill + post + complete for axes [0, axes); returns false on
@@ -577,32 +519,19 @@ class DistributedIgr {
   /// every interior flux line (no ghost reads), then complete and finish
   /// the boundary shell.
   void final_sigma_and_fluxes() {
-    if (team_->parallel()) {
-      run_phase([this](int r) {
-        auto& s = solver(r);
-        if (!sigma_ghost_phase(r, /*axes=*/2)) return;
-        common::Field3<S>* sig = &s.sigma_field();
-        fill_sigma_bc_axis(r, 2);
-        comm_.post_axis(Comm::kChanSigma, r, &sig, 1, 2);
-        if (opts_.overlap_halo) {
-          // Only the z exchange is in flight, so only z is shaved from the
-          // interior: every cell >= 3 planes off the z faces computes while
-          // the halo moves, and just the two z slabs wait for completion.
-          s.compute_fluxes_interior(s.stage_field(), s.rhs_field(), 2);
-          if (!comm_.complete_axis(Comm::kChanSigma, r, &sig, 1, 2)) return;
-          s.compute_fluxes_boundary(s.stage_field(), s.rhs_field(), 2);
-        } else {
-          if (!comm_.complete_axis(Comm::kChanSigma, r, &sig, 1, 2)) return;
-          s.compute_fluxes(s.stage_field(), s.rhs_field());
-        }
-      });
-    } else {
-      refresh_sigma_ghosts_lockstep();
-      for (const int r : local_ranks_) {
-        auto& s = solver(r);
-        s.compute_fluxes(s.stage_field(), s.rhs_field());
-      }
-    }
+    run_phase([this](int r) {
+      auto& s = solver(r);
+      if (!sigma_ghost_phase(r, /*axes=*/2)) return;
+      common::Field3<S>* sig = &s.sigma_field();
+      fill_sigma_bc_axis(r, 2);
+      comm_.post_axis(Comm::kChanSigma, r, &sig, 1, 2);
+      // Only the z exchange is in flight, so only z is shaved from the
+      // interior: every cell >= 3 planes off the z faces computes while
+      // the halo moves, and just the two z slabs wait for completion.
+      s.compute_fluxes_interior(s.stage_field(), s.rhs_field(), 2);
+      if (!comm_.complete_axis(Comm::kChanSigma, r, &sig, 1, 2)) return;
+      s.compute_fluxes_boundary(s.stage_field(), s.rhs_field(), 2);
+    });
   }
 
   /// Which sides of `axis` are physical boundaries for `rank` (no comm

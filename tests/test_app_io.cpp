@@ -257,7 +257,7 @@ TEST(Simulation, DecomposedRunMatchesSingleDomainThroughFacade) {
   EXPECT_GT(dist.dist().comm().bytes_exchanged(), 0u);
 
   // Decomposed VTK output goes through the gathered state + Sigma.
-  const std::string path = "decomposed_jet_test.vtk";
+  const std::string path = "decomposed_run_test.vtk";
   dist.write_vtk(path);
   EXPECT_GT(std::filesystem::file_size(path), 1000u);
   std::filesystem::remove(path);

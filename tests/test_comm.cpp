@@ -45,6 +45,33 @@ TEST(Comm, LocalGridCoordinatesAreGlobal) {
   EXPECT_NEAR(lg1.x(0), g.x(kN / 2), 1e-14);
 }
 
+/// Channel of the lockstep helpers below (one field per post).
+constexpr int kChan = Comm::kChanSigma;
+
+/// Lockstep exchange of one axis, every rank driven from this thread
+/// through the posted-epoch API: post every rank, then complete every rank.
+template <class T>
+void lockstep_exchange_axis(const Comm& comm,
+                            const std::vector<Field3<T>*>& fields, int axis) {
+  for (int r = 0; r < comm.ranks(); ++r) {
+    const Field3<T>* f = fields[static_cast<std::size_t>(r)];
+    comm.post_axis(kChan, r, &f, 1, axis);
+  }
+  for (int r = 0; r < comm.ranks(); ++r) {
+    Field3<T>* f = fields[static_cast<std::size_t>(r)];
+    ASSERT_TRUE(comm.complete_axis(kChan, r, &f, 1, axis));
+  }
+}
+
+/// All three axes in x, y, z order — the single-domain ghost-fill order,
+/// so corner ghosts coincide.
+template <class T>
+void lockstep_exchange(const Comm& comm,
+                       const std::vector<Field3<T>*>& fields) {
+  for (int axis = 0; axis < 3; ++axis)
+    lockstep_exchange_axis(comm, fields, axis);
+}
+
 /// Scatter a globally indexed field into per-rank blocks.
 std::vector<Field3<double>> scatter(const Comm& comm) {
   std::vector<Field3<double>> blocks;
@@ -66,7 +93,7 @@ TEST(Comm, ExchangeFillsInteriorFaceGhosts) {
   auto blocks = scatter(comm);
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
-  comm.exchange(ptrs);
+  lockstep_exchange(comm, ptrs);
 
   // Rank 0's x-high ghosts must hold rank 1's first interior cells.
   const auto b0 = comm.decomp().block(0);
@@ -83,7 +110,7 @@ TEST(Comm, PeriodicWrapAcrossDomainBoundary) {
   auto blocks = scatter(comm);
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
-  comm.exchange(ptrs);
+  lockstep_exchange(comm, ptrs);
   // Rank 0's x-low ghosts wrap to rank 1's last interior cells.
   EXPECT_EQ(blocks[0](-1, 2, 2), cell_value(kN - 1, 2, 2));
   EXPECT_EQ(blocks[0](-3, 2, 2), cell_value(kN - 3, 2, 2));
@@ -107,7 +134,8 @@ TEST(Comm, SingleRankSelfExchangeEqualsPeriodicFill) {
 
   igr::eos::IdealGas eos(1.4);
   igr::fv::apply_bc(qa, igr::fv::BcSpec::all_periodic(), g, eos);
-  comm.exchange_state(std::vector<StateField3<double>*>{&qb});
+  for (int c = 0; c < kNumVars; ++c)
+    lockstep_exchange(comm, std::vector<Field3<double>*>{&qb[c]});
 
   for (int c = 0; c < kNumVars; ++c)
     for (int k = -kNg; k < kN + kNg; ++k)
@@ -137,7 +165,7 @@ TEST(Comm, DecomposedExchangeMatchesGlobalPeriodicFill) {
     auto blocks = scatter(comm);
     std::vector<Field3<double>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
-    comm.exchange(ptrs);
+    lockstep_exchange(comm, ptrs);
     for (int r = 0; r < comm.ranks(); ++r) {
       const auto b = comm.decomp().block(r);
       for (int k = -kNg; k < b.n[2] + kNg; ++k)
@@ -161,7 +189,7 @@ TEST(Comm, NonPeriodicLeavesPhysicalGhostsUntouched) {
   blocks[0](-1, 0, 0) = -777.0;  // sentinel in a physical ghost
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
-  comm.exchange(ptrs);
+  lockstep_exchange(comm, ptrs);
   EXPECT_EQ(blocks[0](-1, 0, 0), -777.0);
   // But the interior face was exchanged.
   const auto b0 = comm.decomp().block(0);
@@ -175,7 +203,7 @@ TEST(Comm, TrafficMeteringCountsBytes) {
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
   comm.reset_traffic();
-  comm.exchange(ptrs);
+  lockstep_exchange(comm, ptrs);
   // Two ranks, x-axis only has interior+wrap faces: each rank receives
   // ng * (ny+2ng) * ... — just sanity-check nonzero and units of 8 bytes.
   EXPECT_GT(comm.bytes_exchanged(), 0u);
@@ -193,7 +221,7 @@ TEST(Comm, ByteMeteringCrossChecksDecompHaloCells) {
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
   comm.reset_traffic();
-  comm.exchange_axis(ptrs, 0);
+  lockstep_exchange_axis(comm, ptrs, 0);
   std::size_t expect = 0;
   for (int r = 0; r < comm.ranks(); ++r) {
     expect += comm.decomp().halo_cells(r, igr::mesh::Face::kXLo, kNg);
@@ -209,7 +237,7 @@ TEST(Comm, HalfWireMetersWireBytesAndRoundTripsExactValues) {
   // double -> float -> half -> float -> double round trip unchanged.
   const auto g = Grid::cube(kN);
   Comm comm(g, 3, 2, 1, true);
-  comm.set_wire(Comm::kChanGeneral, Comm::WirePrecision::kHalf);
+  comm.set_wire(kChan, Comm::WirePrecision::kHalf);
 
   // Integers below 2^11 are exact in binary16.
   auto exact = [](int gi, int gj, int gk) {
@@ -228,7 +256,7 @@ TEST(Comm, HalfWireMetersWireBytesAndRoundTripsExactValues) {
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
   comm.reset_traffic();
-  comm.exchange_axis(ptrs, 0);
+  lockstep_exchange_axis(comm, ptrs, 0);
 
   std::size_t expect = 0;
   for (int r = 0; r < comm.ranks(); ++r) {
@@ -259,17 +287,17 @@ TEST(Comm, HalfWireQuartersFp64AndHalvesFp32Traffic) {
 
   auto run_double = [&](Comm::WirePrecision w) {
     Comm comm(g, 2, 2, 1, true);
-    comm.set_wire(Comm::kChanGeneral, w);
+    comm.set_wire(kChan, w);
     auto blocks = scatter(comm);
     std::vector<Field3<double>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
     comm.reset_traffic();
-    comm.exchange(ptrs);
+    lockstep_exchange(comm, ptrs);
     return comm.bytes_exchanged();
   };
   auto run_float = [&](Comm::WirePrecision w) {
     Comm comm(g, 2, 2, 1, true);
-    comm.set_wire(Comm::kChanGeneral, w);
+    comm.set_wire(kChan, w);
     std::vector<Field3<float>> blocks;
     for (int r = 0; r < comm.ranks(); ++r) {
       const auto b = comm.decomp().block(r);
@@ -284,7 +312,7 @@ TEST(Comm, HalfWireQuartersFp64AndHalvesFp32Traffic) {
     std::vector<Field3<float>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
     comm.reset_traffic();
-    comm.exchange(ptrs);
+    lockstep_exchange(comm, ptrs);
     return comm.bytes_exchanged();
   };
 
@@ -309,7 +337,7 @@ TEST(Comm, HalfWirePassesTwoByteStorageThroughBitwise) {
   const auto g = Grid::cube(kN);
   auto run = [&](Comm::WirePrecision w, std::size_t& bytes) {
     Comm comm(g, 2, 1, 1, true);
-    comm.set_wire(Comm::kChanGeneral, w);
+    comm.set_wire(kChan, w);
     std::vector<Field3<half>> blocks;
     for (int r = 0; r < comm.ranks(); ++r) {
       const auto b = comm.decomp().block(r);
@@ -325,7 +353,7 @@ TEST(Comm, HalfWirePassesTwoByteStorageThroughBitwise) {
     std::vector<Field3<half>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
     comm.reset_traffic();
-    comm.exchange(ptrs);
+    lockstep_exchange(comm, ptrs);
     bytes = comm.bytes_exchanged();
     return blocks;
   };
@@ -344,7 +372,7 @@ TEST(Comm, HalfWirePassesTwoByteStorageThroughBitwise) {
 
 TEST(Comm, PostCompleteSplitMatchesCollectiveExchange) {
   // The nonblocking-style pipeline: post every rank first, then complete in
-  // reverse order — same ghosts as the lockstep collective call.
+  // reverse order — same ghosts as the in-order lockstep helper.
   const auto g = Grid::cube(kN);
   Comm comm(g, 3, 1, 1, true);
   auto split = scatter(comm);
@@ -360,7 +388,7 @@ TEST(Comm, PostCompleteSplitMatchesCollectiveExchange) {
       Field3<double>* f = &split[static_cast<std::size_t>(r)];
       ASSERT_TRUE(comm.complete_axis(Comm::kChanState, r, &f, 1, axis));
     }
-    comm.exchange_axis(cptrs, axis);
+    lockstep_exchange_axis(comm, cptrs, axis);
   }
   for (int r = 0; r < comm.ranks(); ++r) {
     const auto b = comm.decomp().block(r);

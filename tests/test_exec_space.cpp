@@ -2,7 +2,8 @@
 /// same bits.  Covers the ExecSpace primitive itself (partition coverage,
 /// team launch, barrier phase ordering), then the solver-level guarantees —
 /// Serial vs OpenMP bitwise on state fingerprints AND per-step dt for both
-/// RHS schedules and every storage precision, thread-count invariance at
+/// Sigma sweep paths (plane wavefront and periodic-z phased passes) and
+/// every storage precision, thread-count invariance at
 /// widths 1/2/4, and the distributed driver with a multi-threaded exec
 /// space inside each rank worker (the configuration the TSan tree races).
 
@@ -133,40 +134,40 @@ void expect_bitwise_equal(const cases::CaseSpec& spec,
   EXPECT_EQ(fnv_a, fnv_b) << "state fingerprint diverged";
 }
 
-/// Serial vs the default OpenMP exec space, both RHS schedules, one
-/// precision policy.  The jet case covers the full kernel surface: inflow +
-/// outflow BCs, the fused wavefront, the Sigma relaxation, the CFL fold.
+/// Serial vs the default OpenMP exec space on one case, one precision
+/// policy.  The jet case covers the full kernel surface: inflow + outflow
+/// BCs, the fused Sigma wavefront, the CFL fold.  taylor-green is
+/// all-periodic, so its Sigma wraps along z and the sweeps run as phased
+/// full-grid passes inside the fused step.
 template <class Policy>
-void serial_vs_default(bool fused) {
-  const auto* spec = cases::find("jet-single");
+void serial_vs_default(const char* case_name) {
+  const auto* spec = cases::find(case_name);
   ASSERT_NE(spec, nullptr);
   cases::RunOptions serial = cases::golden_options(*spec);
-  serial.fused_rhs = fused;
   serial.exec = ExecBackend::kSerial;
   cases::RunOptions ambient = serial;
   ambient.exec = ExecBackend::kOpenMP;
   ambient.threads = 0;  // the historical bare-pragma schedule
-  expect_bitwise_equal<Policy>(*spec, serial, ambient,
-                               fused ? "fused" : "phased");
+  expect_bitwise_equal<Policy>(*spec, serial, ambient, case_name);
 }
 
 TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp64) {
-  serial_vs_default<Fp64>(true);
+  serial_vs_default<Fp64>("jet-single");
 }
 TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp32) {
-  serial_vs_default<Fp32>(true);
+  serial_vs_default<Fp32>("jet-single");
 }
 TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp16) {
-  serial_vs_default<Fp16x32>(true);
+  serial_vs_default<Fp16x32>("jet-single");
 }
 TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp64) {
-  serial_vs_default<Fp64>(false);
+  serial_vs_default<Fp64>("taylor-green");
 }
 TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp32) {
-  serial_vs_default<Fp32>(false);
+  serial_vs_default<Fp32>("taylor-green");
 }
 TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp16) {
-  serial_vs_default<Fp16x32>(false);
+  serial_vs_default<Fp16x32>("taylor-green");
 }
 
 TEST(ExecSpaceBitwise, ThreadCountCannotMoveABit) {
@@ -188,18 +189,17 @@ TEST(ExecSpaceBitwise, ThreadCountCannotMoveABit) {
   }
 }
 
-TEST(ExecSpaceBitwise, SedovPhasedSerialMatchesThreads) {
-  // A second workload shape (point blast, all-outflow BCs) through the
-  // phased schedule, Serial vs a 2-wide team.
-  const auto* spec = cases::find("sedov");
+TEST(ExecSpaceBitwise, PeriodicPhasedSweepsSerialMatchesThreads) {
+  // A second workload shape (all-periodic, so the Sigma sweeps run as
+  // phased full-grid passes), Serial vs a 2-wide team.
+  const auto* spec = cases::find("taylor-green");
   ASSERT_NE(spec, nullptr);
   cases::RunOptions serial = cases::golden_options(*spec);
-  serial.fused_rhs = false;
   serial.exec = ExecBackend::kSerial;
   cases::RunOptions wide = serial;
   wide.exec = ExecBackend::kOpenMP;
   wide.threads = 2;
-  expect_bitwise_equal<Fp64>(*spec, serial, wide, "sedov phased");
+  expect_bitwise_equal<Fp64>(*spec, serial, wide, "taylor-green phased sweeps");
 }
 
 TEST(ExecSpaceDistributed, PerRankTeamsBitwiseEqualSerialSingleDomain) {

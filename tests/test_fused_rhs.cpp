@@ -1,7 +1,9 @@
-/// Fused-pipeline equivalence: the plane-streaming RHS schedule
-/// (SolverConfig::fused_rhs, the production default) must be *bitwise
-/// identical* — state, Sigma, RHS, and dt — to the phased reference
-/// schedule it replaces.  Every slot of the fused wavefront reads exactly
+/// Fused-pipeline equivalence: the plane-streaming step (the solver's only
+/// schedule) must be *bitwise identical* — state, Sigma, RHS, and dt — to
+/// the phased composition of the public piecewise API (begin_step,
+/// compute_rhs on the stage register, rk_update, finish_step, with dt from
+/// the dedicated fv::compute_dt scan), built here as the test-local
+/// reference phased_step().  Every slot of the fused wavefront reads exactly
 /// the values the phased full-grid passes would show it (see the pipeline
 /// notes in igr_solver3d.cpp); any divergence is a scheduling bug, not
 /// roundoff.  Same discipline as the dispatch-equivalence and
@@ -17,6 +19,7 @@
 #include "common/precision.hpp"
 #include "core/igr_solver3d.hpp"
 #include "fv/cfl.hpp"
+#include "fv/rk3.hpp"
 #include "mesh/grid.hpp"
 
 namespace {
@@ -38,13 +41,10 @@ bool bits_equal(const S& a, const S& b) {
 /// The bench harness's Mach-10 jet at smoke size (outflow/inflow faces, so
 /// the Sigma boundary handling is Neumann and the sweep wavefront engages).
 template <class Policy>
-IgrSolver3D<Policy> make_jet(bool fused, ReconScheme recon,
-                             bool gauss_seidel = true, int block = 8,
+IgrSolver3D<Policy> make_jet(ReconScheme recon, bool gauss_seidel = true,
                              int n = 12) {
   const auto jet = igr::app::single_engine();
   auto cfg = jet.solver_config();
-  cfg.fused_rhs = fused;
-  cfg.fused_flux_block = block;
   cfg.sigma_gauss_seidel = gauss_seidel;
   const Grid grid(n, n, n + n / 2, {0.0, 1.0}, {0.0, 1.0}, {0.0, 1.5});
   IgrSolver3D<Policy> s(grid, cfg, jet.make_bc(), recon);
@@ -52,12 +52,11 @@ IgrSolver3D<Policy> make_jet(bool fused, ReconScheme recon,
   return s;
 }
 
-/// All-periodic variant: exercises the periodic-Sigma fallback (phased
+/// All-periodic variant: exercises the periodic-z Sigma case (phased
 /// sweeps inside the fused schedule) plus the streamed flux/RK/dt folds.
 template <class Policy>
-IgrSolver3D<Policy> make_periodic(bool fused, ReconScheme recon, int n = 12) {
-  igr::common::SolverConfig cfg;
-  cfg.fused_rhs = fused;
+IgrSolver3D<Policy> make_periodic(ReconScheme recon, int n = 12) {
+  const igr::common::SolverConfig cfg;
   const Grid grid = Grid::cube(n);
   IgrSolver3D<Policy> s(grid, cfg, BcSpec::all_periodic(), recon);
   s.init([](double x, double y, double z) {
@@ -70,6 +69,29 @@ IgrSolver3D<Policy> make_periodic(bool fused, ReconScheme recon, int n = 12) {
     return w;
   });
   return s;
+}
+
+/// The phased reference step at a caller-chosen dt: copy the state into the
+/// stage register, then per RK stage one full-grid compute_rhs pass and the
+/// convex update, then commit.
+template <class Policy>
+void phased_step(IgrSolver3D<Policy>& s, double dt) {
+  s.begin_step();
+  for (const auto& st : igr::fv::kRk3Stages) {
+    s.compute_rhs(s.stage_field(), s.rhs_field());
+    s.rk_update(st, dt);
+  }
+  s.finish_step(dt);
+}
+
+/// The phased reference of step(): dt from the dedicated CFL scan over the
+/// state and the warm-start Sigma.
+template <class Policy>
+double phased_step(IgrSolver3D<Policy>& s) {
+  const double dt = igr::fv::compute_dt(s.state(), s.grid(), s.eos(),
+                                        s.config(), &s.sigma());
+  phased_step(s, dt);
+  return dt;
 }
 
 template <class Policy>
@@ -108,10 +130,10 @@ const ReconScheme kRecons[] = {ReconScheme::kFirst, ReconScheme::kThird,
 template <class Policy>
 void run_compute_rhs_case() {
   for (auto recon : kRecons) {
-    auto phased = make_jet<Policy>(/*fused=*/false, recon);
-    auto fused = make_jet<Policy>(/*fused=*/true, recon);
+    auto phased = make_jet<Policy>(recon);
+    auto fused = make_jet<Policy>(recon);
     // Stir the state so Sigma and the fallback/floor paths are exercised.
-    phased.step_fixed(1e-4);
+    phased_step(phased, 1e-4);
     fused.step_fixed(1e-4);
     phased.begin_step();
     fused.begin_step();
@@ -125,13 +147,13 @@ void run_compute_rhs_case() {
 template <class Policy>
 void run_adaptive_steps_case(bool gauss_seidel) {
   for (auto recon : kRecons) {
-    auto phased = make_jet<Policy>(/*fused=*/false, recon, gauss_seidel);
-    auto fused = make_jet<Policy>(/*fused=*/true, recon, gauss_seidel);
+    auto phased = make_jet<Policy>(recon, gauss_seidel);
+    auto fused = make_jet<Policy>(recon, gauss_seidel);
     // Three adaptive steps: the first dt comes from the dedicated CFL scan
     // on both sides; the later fused dts come from the reduction folded
     // into the previous step's final RK stage.
     for (int s = 0; s < 3; ++s) {
-      const double dt_p = phased.step();
+      const double dt_p = phased_step(phased);
       const double dt_f = fused.step();
       ASSERT_EQ(dt_p, dt_f) << "step " << s;
     }
@@ -167,40 +189,27 @@ TEST(FusedRhs, PeriodicFallbackStepsBitwiseFp64) {
   // All-periodic BCs: the sweep wavefront cannot cross the z wrap, so the
   // fused schedule keeps phased sweeps — but still streams source, fluxes,
   // RK, and the dt fold, which must stay bitwise.
-  auto phased = make_periodic<Fp64>(false, ReconScheme::kFifth);
-  auto fused = make_periodic<Fp64>(true, ReconScheme::kFifth);
-  for (int s = 0; s < 3; ++s) ASSERT_EQ(phased.step(), fused.step());
+  auto phased = make_periodic<Fp64>(ReconScheme::kFifth);
+  auto fused = make_periodic<Fp64>(ReconScheme::kFifth);
+  for (int s = 0; s < 3; ++s) ASSERT_EQ(phased_step(phased), fused.step());
   expect_state_sigma_equal(phased, fused);
 }
 
 TEST(FusedRhs, PeriodicFallbackStepsBitwiseFp16x32) {
-  auto phased = make_periodic<Fp16x32>(false, ReconScheme::kFifth);
-  auto fused = make_periodic<Fp16x32>(true, ReconScheme::kFifth);
-  for (int s = 0; s < 3; ++s) ASSERT_EQ(phased.step(), fused.step());
+  auto phased = make_periodic<Fp16x32>(ReconScheme::kFifth);
+  auto fused = make_periodic<Fp16x32>(ReconScheme::kFifth);
+  for (int s = 0; s < 3; ++s) ASSERT_EQ(phased_step(phased), fused.step());
   expect_state_sigma_equal(phased, fused);
-}
-
-TEST(FusedRhs, FluxBlockThicknessIsBitwiseFree) {
-  // The k-block seams of the streamed flux stage re-evaluate shared faces;
-  // every block thickness (clamped up to the stencil radius) must produce
-  // identical bits, including the degenerate one-block case.
-  for (int block : {1, 3, 4, 5, 18, 64}) {
-    auto ref = make_jet<Fp64>(/*fused=*/false, ReconScheme::kFifth);
-    auto fused =
-        make_jet<Fp64>(/*fused=*/true, ReconScheme::kFifth, true, block);
-    for (int s = 0; s < 2; ++s) ASSERT_EQ(fused.step(), ref.step());
-    expect_state_sigma_equal(ref, fused);
-  }
 }
 
 TEST(FusedRhs, RegionRestrictedFluxesMatchPhased) {
   // The interior/boundary split DistributedIgr overlaps with halo traffic,
-  // run through the fused (k-block-streamed) flux path, must still union to
-  // the phased full-region sweep bitwise.
+  // run through the k-block-streamed flux path, must still union to the
+  // phased full-region sweep bitwise.
   for (auto recon : kRecons) {
-    auto phased = make_jet<Fp64>(/*fused=*/false, recon);
-    auto fused = make_jet<Fp64>(/*fused=*/true, recon);
-    phased.step_fixed(1e-4);
+    auto phased = make_jet<Fp64>(recon);
+    auto fused = make_jet<Fp64>(recon);
+    phased_step(phased, 1e-4);
     fused.step_fixed(1e-4);
     phased.begin_step();
     fused.begin_step();
@@ -222,12 +231,12 @@ TEST(FusedRhs, RegionRestrictedFluxesMatchPhased) {
 
 TEST(FusedRhs, StepFixedThenAdaptiveUsesFreshDtCache) {
   // step_fixed refreshes the folded CFL cache too, so a mixed
-  // step_fixed/step sequence sees the dt a phased solver would compute.
-  auto phased = make_jet<Fp64>(/*fused=*/false, ReconScheme::kFifth);
-  auto fused = make_jet<Fp64>(/*fused=*/true, ReconScheme::kFifth);
-  phased.step_fixed(1e-4);
+  // step_fixed/step sequence sees the dt the dedicated scan would compute.
+  auto phased = make_jet<Fp64>(ReconScheme::kFifth);
+  auto fused = make_jet<Fp64>(ReconScheme::kFifth);
+  phased_step(phased, 1e-4);
   fused.step_fixed(1e-4);
-  ASSERT_EQ(phased.step(), fused.step());
+  ASSERT_EQ(phased_step(phased), fused.step());
   expect_state_sigma_equal(phased, fused);
 }
 
