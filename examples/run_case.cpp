@@ -18,6 +18,7 @@
 #include <exception>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cases/runner.hpp"
@@ -353,6 +354,11 @@ int main(int argc, char** argv) {
   }
   if (cli.run.faults.armed() && cli.is_io_root())
     std::printf("fault plan: %s\n", cli.run.faults.describe().c_str());
+  if (cli.is_io_root()) {
+    const std::string warn = cases::oversubscription_warning(
+        cli.run, std::thread::hardware_concurrency());
+    if (!warn.empty()) std::fprintf(stderr, "run_case: %s\n", warn.c_str());
+  }
 
   std::vector<const cases::CaseSpec*> selected;
   if (cli.case_name == "all") {

@@ -11,6 +11,7 @@
 #include "common/hash.hpp"
 #include "common/telemetry.hpp"
 #include "io/checkpoint.hpp"
+#include "sim/rank_team.hpp"
 
 namespace igr::cases {
 
@@ -33,6 +34,29 @@ bool parse_precision(std::string_view s, Precision* out) {
   else if (s == "bf16x32") *out = Precision::kBf16x32;
   else return false;
   return true;
+}
+
+std::string oversubscription_warning(const RunOptions& opts,
+                                    unsigned hardware) {
+  // Every rank of the decomposition runs on this host: in-process as
+  // worker threads, over TCP as sibling processes with one rank each.
+  const int co_resident = opts.ranks[0] * opts.ranks[1] * opts.ranks[2];
+  const bool tcp = opts.transport.kind == sim::TransportSpec::Kind::kTcp;
+  const int per_rank =
+      (opts.exec == common::ExecBackend::kSerial)
+          ? 1
+          : sim::resolve_threads_per_rank(opts.threads, tcp ? 1 : co_resident,
+                                          co_resident,
+                                          sim::ambient_thread_budget(),
+                                          hardware);
+  const long total = static_cast<long>(per_rank) * co_resident;
+  if (total <= static_cast<long>(std::max(1u, hardware))) return {};
+  char buf[192];
+  std::snprintf(buf, sizeof buf,
+                "warning: %d rank(s) x %d thread(s) = %ld compute threads "
+                "exceed the %u hardware threads of this host",
+                co_resident, per_rank, total, std::max(1u, hardware));
+  return buf;
 }
 
 namespace {

@@ -214,6 +214,12 @@ class CaseRun {
   std::uint64_t prev_bytes_ = 0;
 };
 
+/// A warning line when the run would start more compute threads than the
+/// host has — ranks co-resident on this machine x the resolved threads per
+/// rank (sim::resolve_threads_per_rank) > `hardware` — else empty.
+[[nodiscard]] std::string oversubscription_warning(const RunOptions& opts,
+                                                   unsigned hardware);
+
 /// Options for the case's golden run (golden_n cells, golden_steps steps) —
 /// what the regression tests and the `--smoke` CLI sweep execute.
 [[nodiscard]] RunOptions golden_options(const CaseSpec& spec);

@@ -5,6 +5,8 @@
 
 #include "common/telemetry.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -98,6 +100,19 @@ Histogram& histogram(std::string_view name) {
   const auto it = m.histograms.find(name);
   if (it != m.histograms.end()) return it->second;
   return m.histograms.try_emplace(std::string(name)).first->second;
+}
+
+Histogram& barrier_wait(int member) {
+  constexpr int kSlots = 64;
+  static std::array<std::atomic<Histogram*>, kSlots> slots{};
+  const auto i = static_cast<std::size_t>(std::clamp(member, 0, kSlots - 1));
+  Histogram* h = slots[i].load(std::memory_order_acquire);
+  if (h == nullptr) {
+    // Concurrent first uses resolve to the same registry node.
+    h = &histogram("exec.barrier_wait.m" + std::to_string(i));
+    slots[i].store(h, std::memory_order_release);
+  }
+  return *h;
 }
 
 Snapshot snapshot() {

@@ -109,6 +109,12 @@ Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 
+/// Per-member exec-space wait time (`exec.barrier_wait.m<member>`): what
+/// ExecSpace::Team::barrier and NeighbourProgress::wait record.  Members past
+/// the 63rd share the last histogram.  Registered on first use; the lookup
+/// after that is lock-free.
+Histogram& barrier_wait(int member);
+
 struct HistogramRow {
   std::string name;
   std::uint64_t count = 0;

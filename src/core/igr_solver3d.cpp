@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -304,49 +305,61 @@ void IgrSolver3D<Policy>::init(const PrimFn& prim) {
 template <class Policy>
 void IgrSolver3D<Policy>::refresh_inv_rho_planes(common::StateField3<S>& q,
                                                  int k0, int k1) {
-  const int nx = grid_.nx(), ny = grid_.ny();
+  cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
+    long b, e;
+    t.chunk_with_halo(grid_.ny(), q.ng(), b, e);
+    refresh_inv_rho_rows(q, k0, k1, static_cast<int>(b), static_cast<int>(e));
+  });
+}
+
+template <class Policy>
+void IgrSolver3D<Policy>::refresh_inv_rho_rows(common::StateField3<S>& q,
+                                               int k0, int k1, int j0,
+                                               int j1) {
   const int ng = q.ng();
-  const std::size_t row_len = static_cast<std::size_t>(nx) + 2 * ng;
-  const common::ExecSpace exec = cfg_.exec();
+  const std::size_t row_len = static_cast<std::size_t>(grid_.nx()) + 2 * ng;
   if constexpr (common::converts_storage<Policy>) {
     if (cfg_.batch_half_conversion) {
       // Whole ghosted rows through the batched conversion lanes: one batch
       // load, a vector reciprocal, one batch store — same per-element values
       // as the scalar path below.
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> row(row_len);
-        long cb, ce;
-        t.chunk(k1 - k0, cb, ce);
-        for (long kk = cb; kk < ce; ++kk) {
-          const int k = k0 + static_cast<int>(kk);
-          for (int j = -ng; j < ny + ng; ++j) {
-            common::load_line<Policy>(&q[kRho](-ng, j, k), row.data(),
-                                      row_len);
-            for (std::size_t i = 0; i < row_len; ++i) row[i] = C(1) / row[i];
-            common::store_line<Policy>(row.data(), &inv_rho_(-ng, j, k),
-                                       row_len);
-          }
+      std::vector<C> row(row_len);
+      for (int k = k0; k < k1; ++k) {
+        for (int j = j0; j < j1; ++j) {
+          common::load_line<Policy>(&q[kRho](-ng, j, k), row.data(), row_len);
+          for (std::size_t i = 0; i < row_len; ++i) row[i] = C(1) / row[i];
+          common::store_line<Policy>(row.data(), &inv_rho_(-ng, j, k),
+                                     row_len);
         }
-      });
+      }
       return;
     }
   }
-  exec.for_each(k1 - k0, [&](long kk) {
-    const int k = k0 + static_cast<int>(kk);
-    for (int j = -ng; j < ny + ng; ++j) {
+  for (int k = k0; k < k1; ++k) {
+    for (int j = j0; j < j1; ++j) {
       const S* pr = &q[kRho](-ng, j, k);
       S* pir = &inv_rho_(-ng, j, k);
-      for (int i = 0; i < nx + 2 * ng; ++i) {
+      for (std::size_t i = 0; i < row_len; ++i)
         pir[i] = static_cast<S>(C(1) / static_cast<C>(pr[i]));
-      }
     }
-  });
+  }
 }
 
 template <class Policy>
 void IgrSolver3D<Policy>::compute_sigma_source_planes(
     common::StateField3<S>& q, int k0, int k1) {
-  const int nx = grid_.nx(), ny = grid_.ny();
+  cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
+    long b, e;
+    t.chunk(grid_.ny(), b, e);
+    sigma_source_rows(q, k0, k1, static_cast<int>(b), static_cast<int>(e));
+  });
+}
+
+template <class Policy>
+void IgrSolver3D<Policy>::sigma_source_rows(common::StateField3<S>& q, int k0,
+                                            int k1, int j0, int j1) {
+  if (k0 >= k1 || j0 >= j1) return;
+  const int nx = grid_.nx();
   const C inv2dx = C(0.5) / static_cast<C>(grid_.dx());
   const C inv2dy = C(0.5) / static_cast<C>(grid_.dy());
   const C inv2dz = C(0.5) / static_cast<C>(grid_.dz());
@@ -357,91 +370,75 @@ void IgrSolver3D<Policy>::compute_sigma_source_planes(
 
   if constexpr (common::converts_storage<Policy>) {
     if (cfg_.batch_half_conversion) {
-      // Batched form with a rolling per-plane row cache: each thread
-      // streams a contiguous plane range and keeps the velocity rows
-      // u_a = m_a * (1/rho) of planes k-1, k, k+1 in a 3-plane ring, so
-      // every momentum/inv_rho row is converted once per plane visit
-      // instead of once per stencil position (the old slab form converted
-      // each row up to five times across adjacent (j,k) iterations).  Rows
-      // span i in [-1, nx] and j in [-1, ny] so both the in-row i∓1 taps
-      // and the j∓1 neighbor rows are in-ring; the products are the exact
-      // expressions of the per-position slab, so values are bitwise
-      // unchanged.
+      // Batched form with a rolling per-plane row cache: the member streams
+      // its plane range and keeps the velocity rows u_a = m_a * (1/rho) of
+      // planes k-1, k, k+1 in a 3-plane ring, so every momentum/inv_rho row
+      // is converted once per plane visit instead of once per stencil
+      // position.  Rows span i in [-1, nx] and j in [j0-1, j1] so both the
+      // in-row i∓1 taps and the j∓1 neighbor rows are in-ring; the products
+      // are the exact expressions of the per-position slab, so values are
+      // bitwise unchanged.
       const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-      const std::size_t rows_per_plane = static_cast<std::size_t>(ny) + 2;
+      const std::size_t rows_per_plane = static_cast<std::size_t>(j1 - j0) + 2;
       const std::size_t plane_elems = 3 * rows_per_plane * row_len;
-      const common::ExecSpace exec = cfg_.exec();
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> ring(3 * plane_elems);
-        std::vector<C> ir_row(row_len), mom_row(row_len);
-        std::vector<C> src_row(static_cast<std::size_t>(nx));
-        // Velocity row of component `a` at (j, plane k); ring slot cycles
-        // with k (k >= -1 here, so k+1 is a valid modulus argument).
-        auto vrow = [&](int k, int j, int a) -> C* {
-          return ring.data() +
-                 static_cast<std::size_t>((k + 1) % 3) * plane_elems +
-                 (static_cast<std::size_t>(j + 1) * 3 +
-                  static_cast<std::size_t>(a)) *
-                     row_len;
-        };
-        auto fill_plane = [&](int k) {
-          for (int j = -1; j <= ny; ++j) {
-            common::load_line<Policy>(&inv_rho_(-1, j, k), ir_row.data(),
-                                      row_len);
-            for (int a = 0; a < 3; ++a) {
-              common::load_line<Policy>(&q[kMomX + a](-1, j, k),
-                                        mom_row.data(), row_len);
-              C* v = vrow(k, j, a);
-              for (std::size_t i = 0; i < row_len; ++i)
-                v[i] = mom_row[i] * ir_row[i];
-            }
-          }
-        };
-        // Contiguous per-member plane chunks (the ring needs an ascending
-        // serial walk); remainder planes go to the low tids.
-        long cb, ce;
-        t.chunk(k1 - k0, cb, ce);
-        const int c0 = k0 + static_cast<int>(cb);
-        const int c1 = k0 + static_cast<int>(ce);
-        if (c0 < c1) {
-          fill_plane(c0 - 1);
-          fill_plane(c0);
-          for (int k = c0; k < c1; ++k) {
-            fill_plane(k + 1);
-            for (int j = 0; j < ny; ++j) {
-              for (int i = 0; i < nx; ++i) {
-                const std::size_t o = static_cast<std::size_t>(i) + 1;
-                fv::VelGrad<C> g;
-                for (int a = 0; a < 3; ++a) {
-                  const C* vc = vrow(k, j, a);
-                  const C* vjm = vrow(k, j - 1, a);
-                  const C* vjp = vrow(k, j + 1, a);
-                  const C* vkm = vrow(k - 1, j, a);
-                  const C* vkp = vrow(k + 1, j, a);
-                  g.g[a][0] = (vc[o + 1] - vc[o - 1]) * inv2dx;
-                  g.g[a][1] = (vjp[o] - vjm[o]) * inv2dy;
-                  g.g[a][2] = (vkp[o] - vkm[o]) * inv2dz;
-                }
-                const C d = g.div();
-                src_row[static_cast<std::size_t>(i)] =
-                    al * (g.tr_sq() + d * d);
-              }
-              common::store_line<Policy>(src_row.data(),
-                                         sigma_src_.row(j, k),
-                                         static_cast<std::size_t>(nx));
-            }
+      std::vector<C> ring(3 * plane_elems);
+      std::vector<C> ir_row(row_len), mom_row(row_len);
+      std::vector<C> src_row(static_cast<std::size_t>(nx));
+      // Velocity row of component `a` at (j, plane k); ring slot cycles
+      // with k (k >= -1 here, so k+1 is a valid modulus argument).
+      auto vrow = [&](int k, int j, int a) -> C* {
+        return ring.data() +
+               static_cast<std::size_t>((k + 1) % 3) * plane_elems +
+               (static_cast<std::size_t>(j - j0 + 1) * 3 +
+                static_cast<std::size_t>(a)) *
+                   row_len;
+      };
+      auto fill_plane = [&](int k) {
+        for (int j = j0 - 1; j <= j1; ++j) {
+          common::load_line<Policy>(&inv_rho_(-1, j, k), ir_row.data(),
+                                    row_len);
+          for (int a = 0; a < 3; ++a) {
+            common::load_line<Policy>(&q[kMomX + a](-1, j, k),
+                                      mom_row.data(), row_len);
+            C* v = vrow(k, j, a);
+            for (std::size_t i = 0; i < row_len; ++i)
+              v[i] = mom_row[i] * ir_row[i];
           }
         }
-      });
+      };
+      fill_plane(k0 - 1);
+      fill_plane(k0);
+      for (int k = k0; k < k1; ++k) {
+        fill_plane(k + 1);
+        for (int j = j0; j < j1; ++j) {
+          for (int i = 0; i < nx; ++i) {
+            const std::size_t o = static_cast<std::size_t>(i) + 1;
+            fv::VelGrad<C> g;
+            for (int a = 0; a < 3; ++a) {
+              const C* vc = vrow(k, j, a);
+              const C* vjm = vrow(k, j - 1, a);
+              const C* vjp = vrow(k, j + 1, a);
+              const C* vkm = vrow(k - 1, j, a);
+              const C* vkp = vrow(k + 1, j, a);
+              g.g[a][0] = (vc[o + 1] - vc[o - 1]) * inv2dx;
+              g.g[a][1] = (vjp[o] - vjm[o]) * inv2dy;
+              g.g[a][2] = (vkp[o] - vkm[o]) * inv2dz;
+            }
+            const C d = g.div();
+            src_row[static_cast<std::size_t>(i)] = al * (g.tr_sq() + d * d);
+          }
+          common::store_line<Policy>(src_row.data(), sigma_src_.row(j, k),
+                                     static_cast<std::size_t>(nx));
+        }
+      }
       return;
     }
   }
 
   // Stencil taps hoisted into per-row stream pointers (the indexed-offset
   // form defeats the vectorizer); same products, same bits.
-  cfg_.exec().for_each(k1 - k0, [&](long kk) {
-    const int k = k0 + static_cast<int>(kk);
-    for (int j = 0; j < ny; ++j) {
+  for (int k = k0; k < k1; ++k) {
+    for (int j = j0; j < j1; ++j) {
       const S* pir = &inv_rho_(0, j, k);
       const S* mx_ = &q[kMomX](0, j, k);
       const S* my_ = &q[kMomY](0, j, k);
@@ -475,7 +472,7 @@ void IgrSolver3D<Policy>::compute_sigma_source_planes(
         psrc[i] = static_cast<S>(al * (g.tr_sq() + d * d));
       }
     }
-  });
+  }
 }
 
 template <class Policy>
@@ -1379,34 +1376,71 @@ void IgrSolver3D<Policy>::phased_sigma_solve(common::StateField3<S>& q) {
 template <class Policy>
 void IgrSolver3D<Policy>::compute_rhs_fused(common::StateField3<S>& q,
                                             common::StateField3<S>& rhs) {
-  {
-    common::PhaseScope t(profile_, common::PhaseProfile::kBc);
-    apply_domain_bc(q);
-  }
-  fused_sigma_phase(q);
+  stage_prologue(q);
   common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
   compute_fluxes(q, rhs);
 }
 
+namespace {
+
+/// The lead member's (tid 0) share of a team-wide phase: PhaseProfile is
+/// not thread-safe, and the lead's wall time, its waits included, is the
+/// phase's wall time.
+class LeadPhaseScope {
+ public:
+  LeadPhaseScope(common::PhaseProfile& profile, common::PhaseProfile::Phase ph,
+                 const common::ExecSpace::Team& team) {
+    if (team.tid() == 0) scope_.emplace(profile, ph);
+  }
+
+ private:
+  std::optional<common::PhaseScope> scope_;
+};
+
+}  // namespace
+
 template <class Policy>
-void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
-  if (!(alpha_ > 0.0 && cfg_.sigma_sweeps > 0)) {
-    sigma_.fill(S{});
+void IgrSolver3D<Policy>::stage_prologue(common::StateField3<S>& q) {
+  const common::ExecSpace exec = cfg_.exec();
+  const bool sigma_active = alpha_ > 0.0 && cfg_.sigma_sweeps > 0;
+  // A periodic Sigma wrap *along z* makes plane 0's sweep s read plane
+  // nz-1's post-sweep-(s-1) values — which an ascending plane stream has not
+  // produced yet when its front is near 0.  Sweeps stay phased there (the
+  // interleaved source build and the streamed flux/RK stages still apply).
+  // Periodic x/y faces are no obstacle: their wraps are per-plane rim fills
+  // reading the same plane's post-previous-sweep interior, exactly the
+  // snapshot the phased fill takes.
+  const bool pipelined = sigma_active &&
+                         sigma_bc_.side(2, 0) != SigmaBc::kPeriodic &&
+                         sigma_bc_.side(2, 1) != SigmaBc::kPeriodic;
+  if (!pipelined) {
+    {
+      common::PhaseScope t(profile_, common::PhaseProfile::kBc);
+      exec.run_team([&](const common::ExecSpace::Team& team) {
+        fv::apply_bc(q, bc_, grid_, eos_, team);
+      });
+    }
+    if (sigma_active) {
+      phased_sigma_solve(q);
+    } else {
+      sigma_.fill(S{});
+    }
     return;
   }
-  if (sigma_bc_.side(2, 0) == SigmaBc::kPeriodic ||
-      sigma_bc_.side(2, 1) == SigmaBc::kPeriodic) {
-    // A periodic Sigma wrap *along z* makes plane 0's sweep s read plane
-    // nz-1's post-sweep-(s-1) values — which an ascending plane stream has
-    // not produced yet when its front is near 0.  Sweeps stay phased here;
-    // the interleaved source build and the streamed flux/RK stages still
-    // apply.  Periodic x/y faces are no obstacle: their wraps are per-plane
-    // rim fills reading the same plane's post-previous-sweep interior,
-    // exactly the snapshot the phased fill takes.
-    phased_sigma_solve(q);
-    return;
-  }
-  fused_sigma_pipeline(q);
+  // The pipeline performs `sweeps` logical relaxation passes without going
+  // through sigma_sweep(); credit them up front so the meter agrees with
+  // the phased schedule.
+  sigma_sweeps_done_ += static_cast<std::uint64_t>(cfg_.sigma_sweeps);
+  common::NeighbourProgress progress(exec.max_team_size());
+  exec.run_team([&](const common::ExecSpace::Team& team) {
+    {
+      LeadPhaseScope t(profile_, common::PhaseProfile::kBc, team);
+      fv::apply_bc(q, bc_, grid_, eos_, team);
+    }
+    fused_sigma_pipeline(q, team, progress);
+  });
+  if (!cfg_.sigma_gauss_seidel && (cfg_.sigma_sweeps % 2 == 1))
+    std::swap(sigma_, sigma_scratch_);
 }
 
 /// The skewed plane wavefront: with S sweeps, the front f executes
@@ -1435,15 +1469,34 @@ void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
 /// ghost planes are copied when the boundary planes 0 / nz-1 hit their c0
 /// slot, again from post-(s-1) values.  Both colors then read that same
 /// snapshot, exactly like the phased schedule.
+///
+/// Team split.  The whole wavefront runs in the stage's one team; each
+/// member owns the rows j ∈ [jb, je) of Team::chunk(ny) in every plane (and
+/// the edge members the y ghost rows beyond them, chunk_with_halo).  Every
+/// slot of a front works on a different plane, and the only reads across
+/// the k direction are of the member's own rows, in an earlier slot of the
+/// same front — so all the member-crossing reads are of rows j∓1 of the
+/// slot's own plane.  Those rows were last stored in an earlier front, and
+/// in this front their owner stores only the other parity (red–black) or
+/// the other buffer (Jacobi), which the kernels never read there.  Hence
+/// one ordering point per front suffices: before front f a member waits
+/// until its two neighbours have finished front f-1 (NeighbourProgress),
+/// which orders both the reads after their stores and their next stores
+/// after these reads.  The y rim is the exception when y wraps: the ghost
+/// rows of the low edge copy the high edge member's rows — two members
+/// that are not neighbours — so that case orders its fronts with team
+/// barriers and copies the wrapped ghost rows in a phase of their own.
+/// Ghost cells nothing reads during the sweeps (corners, the y ghost rows
+/// of the z ghost planes) are skipped there; the final full-depth fill of
+/// every plane rewrites every ghost cell, so the field leaves the pipeline
+/// bitwise equal to the phased schedule's.
 template <class Policy>
-void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
-  const int nz = grid_.nz();
+void IgrSolver3D<Policy>::fused_sigma_pipeline(
+    common::StateField3<S>& q, const common::ExecSpace::Team& team,
+    common::NeighbourProgress& progress) {
+  const int nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const int ng = q.ng();
   const int sweeps = cfg_.sigma_sweeps;
-  // The pipeline performs `sweeps` logical relaxation passes without going
-  // through sigma_sweep(); credit them up front so the meter agrees with
-  // the phased schedule.
-  sigma_sweeps_done_ += static_cast<std::uint64_t>(sweeps);
   const bool rb = cfg_.sigma_gauss_seidel;
   const int depth = rb ? 2 * sweeps - 1 : sweeps - 1;
   const int chunk = kFluxBlock;
@@ -1452,74 +1505,142 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   const C dy = static_cast<C>(grid_.dy());
   const C dz = static_cast<C>(grid_.dz());
   const bool batch = cfg_.batch_half_conversion;
+  const SigmaBcSpec bc = sigma_bc_;
+  const bool wrap_y = bc.side(1, 0) == SigmaBc::kPeriodic ||
+                      bc.side(1, 1) == SigmaBc::kPeriodic;
 
-  int ir_hi = -ng;
-  auto ensure_ir = [&](int upto) {  // exclusive
-    upto = std::min(upto, nz + ng);
-    if (upto > ir_hi) {
-      // Attributed to the source phase like the phased schedule's
-      // refresh-inside-build, so the breakdowns stay comparable.
-      common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      refresh_inv_rho_planes(q, ir_hi, upto);
-      ir_hi = upto;
-    }
-  };
-  // Per-sweep ghost fills of one plane: the one-layer rim (wrapping or
-  // clamping per x/y face) plus, on the boundary planes, the Neumann z
-  // ghost snapshot (the pipeline gate guarantees both z faces clamp).
-  auto sweep_ghosts = [&](common::Field3<S>& sig, int p, int layers) {
-    fill_sigma_rim(sig, sigma_bc_, p, p + 1, layers);
-    if (p == 0) fill_sigma_zghosts(sig, sigma_bc_, 0, layers);
-    if (p == nz - 1) fill_sigma_zghosts(sig, sigma_bc_, 1, layers);
-  };
+  long b, e;
+  team.chunk(ny, b, e);
+  const int jb = static_cast<int>(b), je = static_cast<int>(e);
+  team.chunk_with_halo(ny, ng, b, e);
+  const int eb = static_cast<int>(b), ee = static_cast<int>(e);
+  const bool active = jb < je;
+  const bool lo_edge = active && jb == 0;  // owns the low y ghost rows
+  const bool hi_edge = active && je == ny;  // owns the high y ghost rows
+  SigmaRowScratch<Policy> scratch(nx, ny);
 
   common::Field3<S>& fin =
       (!rb && (sweeps % 2 == 1)) ? sigma_scratch_ : sigma_;
+  // The buffer Jacobi sweep s reads (sweep s writes the other one).
+  auto jacobi_in = [&](int s) -> common::Field3<S>& {
+    return (s % 2 == 1) ? sigma_ : sigma_scratch_;
+  };
+
+  // 1/rho runs one source chunk ahead of the source build, so a front never
+  // refreshes planes another member's slots of the same front read.
+  int ir_hi = -ng;
+  auto refresh_upto = [&](int upto) {  // exclusive
+    upto = std::min(upto, nz + ng);
+    if (upto > ir_hi) {
+      if (active) refresh_inv_rho_rows(q, ir_hi, upto, eb, ee);
+      ir_hi = upto;
+    }
+  };
+
+  // The y ghost rows of plane p on the sides this member owns, over x in
+  // [i0, i1).
+  auto edge_yghosts = [&](common::Field3<S>& sig, int p, int i0, int i1,
+                          int layers) {
+    if (lo_edge) fill_sigma_yghosts(sig, bc, 0, p, i0, i1, layers);
+    if (hi_edge) fill_sigma_yghosts(sig, bc, 1, p, i0, i1, layers);
+  };
+  // Per-sweep one-layer rim of plane p: x ghosts of the member's rows, the
+  // clamped y ghost rows (a wrapped y rim comes from the front's copy
+  // phase), and on the boundary planes its rows of the z ghost planes.
+  auto sweep_rim = [&](common::Field3<S>& sig, int p) {
+    if (!active) return;
+    fill_sigma_xghosts(sig, bc, {true, true}, p, jb, je, 1);
+    if (!wrap_y) edge_yghosts(sig, p, -1, nx + 1, 1);
+    if (p == 0) fill_sigma_zghosts(sig, bc, 0, jb, je, 1);
+    if (p == nz - 1) fill_sigma_zghosts(sig, bc, 1, jb, je, 1);
+  };
+  // Full-depth fill of plane pf for reconstruction.  With a y wrap the
+  // ghost rows (and their z-ghost-plane copies) wait for the next front's
+  // copy phase: their sources are the opposite edge member's rows.
+  auto final_rows = [&](int pf) {
+    if (!active) return;
+    fill_sigma_xghosts(fin, bc, {true, true}, pf, jb, je, -1);
+    if (!wrap_y) edge_yghosts(fin, pf, -ng, nx + ng, -1);
+    const int zb = wrap_y ? jb : eb, ze = wrap_y ? je : ee;
+    if (pf == 0) fill_sigma_zghosts(fin, bc, 0, zb, ze, -1);
+    if (pf == nz - 1) fill_sigma_zghosts(fin, bc, 1, zb, ze, -1);
+  };
+  auto final_wrapped_ghost_rows = [&](int pf) {
+    if (pf < 0 || pf >= nz) return;
+    edge_yghosts(fin, pf, -ng, nx + ng, -1);
+    for (int side = 0; side < 2; ++side) {
+      if (pf != (side == 0 ? 0 : nz - 1)) continue;
+      if (lo_edge) fill_sigma_zghosts(fin, bc, side, -ng, 0, -1);
+      if (hi_edge) fill_sigma_zghosts(fin, bc, side, ny, ny + ng, -1);
+    }
+  };
+
+  {
+    LeadPhaseScope t(profile_, common::PhaseProfile::kSigmaSource, team);
+    refresh_upto(std::min(chunk, nz) + 1);
+  }
+  progress.post(team, 1);  // step 1: the prologue; step f + 2: front f
 
   for (int f = 0; f <= nz - 1 + depth; ++f) {
-    if (f < nz && f % chunk == 0) {
-      const int c1 = std::min(f + chunk, nz);
-      ensure_ir(c1 + 1);
-      common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      compute_sigma_source_planes(q, f, c1);
+    {
+      LeadPhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps, team);
+      if (wrap_y) {
+        team.barrier();
+        for (int s = 1; s <= sweeps; ++s) {
+          const int p = rb ? f - 2 * (s - 1) : f - (s - 1);
+          if (p >= 0 && p < nz)
+            edge_yghosts(rb ? sigma_ : jacobi_in(s), p, 0, nx, 1);
+        }
+        final_wrapped_ghost_rows(f - 1 - depth);
+        team.barrier();
+      } else {
+        progress.wait_neighbours(team, ny, f + 1);
+      }
     }
-    common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
+    if (f < nz && f % chunk == 0) {
+      LeadPhaseScope t(profile_, common::PhaseProfile::kSigmaSource, team);
+      const int c1 = std::min(f + chunk, nz);
+      if (active) sigma_source_rows(q, f, c1, jb, je);
+      refresh_upto(c1 < nz ? std::min(c1 + chunk, nz) + 1 : nz + ng);
+    }
+    LeadPhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps, team);
     for (int s = 1; s <= sweeps; ++s) {
       if (rb) {
         const int p0 = f - 2 * (s - 1);
         if (p0 >= 0 && p0 < nz) {
-          sweep_ghosts(sigma_, p0, 1);
+          sweep_rim(sigma_, p0);
           sigma_relax_planes<Policy>(sigma_, sigma_src_, inv_rho_, al, dx, dy,
-                                     dz, /*color=*/0, p0, p0 + 1, batch,
-                                     cfg_.exec());
+                                     dz, /*color=*/0, p0, p0 + 1, batch, team,
+                                     scratch);
         }
         const int p1 = f - (2 * s - 1);
         if (p1 >= 0 && p1 < nz) {
           sigma_relax_planes<Policy>(sigma_, sigma_src_, inv_rho_, al, dx, dy,
-                                     dz, /*color=*/1, p1, p1 + 1, batch,
-                                     cfg_.exec());
+                                     dz, /*color=*/1, p1, p1 + 1, batch, team,
+                                     scratch);
         }
       } else {
         const int p = f - (s - 1);
         if (p >= 0 && p < nz) {
           // Sweep s reads the buffer sweep s-1 wrote (sigma_ first) and
-          // writes the other; one swap at the end mirrors the phased
+          // writes the other; one swap after the team mirrors the phased
           // per-sweep field swaps.
-          auto& in = (s % 2 == 1) ? sigma_ : sigma_scratch_;
-          auto& out = (s % 2 == 1) ? sigma_scratch_ : sigma_;
-          sweep_ghosts(in, p, 1);
-          sigma_jacobi_planes<Policy>(out, in, sigma_src_, inv_rho_, al, dx,
-                                      dy, dz, p, p + 1, batch, cfg_.exec());
+          sweep_rim(jacobi_in(s), p);
+          sigma_jacobi_planes<Policy>(jacobi_in(s + 1), jacobi_in(s),
+                                      sigma_src_, inv_rho_, al, dx, dy, dz, p,
+                                      p + 1, batch, team, scratch);
         }
       }
     }
     const int pf = f - depth;
-    if (pf >= 0 && pf < nz) {
-      sweep_ghosts(fin, pf, -1);  // reconstruction needs the full depth
-    }
+    if (pf >= 0 && pf < nz) final_rows(pf);
+    if (!wrap_y) progress.post(team, f + 2);
   }
-  ensure_ir(nz + ng);  // trailing ghost planes (viscous transverse taps)
-  if (!rb && (sweeps % 2 == 1)) std::swap(sigma_, sigma_scratch_);
+  if (wrap_y) {
+    LeadPhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps, team);
+    team.barrier();
+    final_wrapped_ghost_rows(nz - 1);
+  }
 }
 
 template <class Policy>
@@ -1698,11 +1819,7 @@ void IgrSolver3D<Policy>::step_fixed(double dt) {
     // register from it (rk_stage1_planes), eliding begin_step's 5N copy;
     // stages 2-3 advance the register in place as usual.
     auto& qs = (si == 0) ? q_ : qstage_;
-    {
-      common::PhaseScope t(profile_, common::PhaseProfile::kBc);
-      apply_domain_bc(qs);
-    }
-    fused_sigma_phase(qs);
+    stage_prologue(qs);
     fused_flux_rk(qs, rhs_, fv::kRk3Stages[static_cast<std::size_t>(si)], dt,
                   /*first_stage=*/si == 0, /*accumulate_dt=*/si == 2);
   }

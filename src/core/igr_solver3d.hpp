@@ -216,16 +216,25 @@ class IgrSolver3D {
   /// Reciprocal density over ghosted planes k ∈ [k0, k1) of `q` into
   /// inv_rho_: one division per point, consumed multiplication-only by the
   /// Sigma source, the relaxation sweeps, and the viscous flux path.
+  /// Opens a team; each member refreshes its rows (Team::chunk_with_halo).
   void refresh_inv_rho_planes(common::StateField3<S>& q, int k0, int k1);
   void refresh_inv_rho(common::StateField3<S>& q) {
     refresh_inv_rho_planes(q, -q.ng(), grid_.nz() + q.ng());
   }
+  /// The member-level body: rows [j0, j1) (y ghost rows allowed) of
+  /// planes [k0, k1), x ghosts included.
+  void refresh_inv_rho_rows(common::StateField3<S>& q, int k0, int k1,
+                            int j0, int j1);
   /// Sigma source over interior planes [k0, k1) (needs inv_rho through
-  /// planes k0-1..k1).  For the converting policy with batched lanes, each
-  /// thread streams its plane range through a rolling 3-plane ring of
-  /// velocity rows, so every momentum/inv_rho row is converted once per
-  /// visit instead of once per stencil position (five times).
+  /// planes k0-1..k1); opens a team, each member builds its rows.
   void compute_sigma_source_planes(common::StateField3<S>& q, int k0, int k1);
+  /// The member-level body: interior rows [j0, j1) of planes [k0, k1)
+  /// (reads q and inv_rho rows j0-1..j1).  For the converting policy with
+  /// batched lanes the member streams its planes through a rolling 3-plane
+  /// ring of velocity rows, so every momentum/inv_rho row is converted once
+  /// per visit instead of once per stencil position (five times).
+  void sigma_source_rows(common::StateField3<S>& q, int k0, int k1, int j0,
+                         int j1);
   /// Full-field source build: inv_rho refresh interleaved with the source
   /// in k-chunks so the freshly written reciprocal planes are still
   /// cache-resident when the source consumes them.  (Values are traversal-
@@ -281,15 +290,20 @@ class IgrSolver3D {
   /// Source build + sweeps + full-depth boundary fill as full-grid passes
   /// (compute_rhs's Sigma solve; also the fused path's periodic-z case).
   void phased_sigma_solve(common::StateField3<S>& q);
-  /// Sigma solve of one RHS evaluation, plane-pipelined unless Sigma wraps
-  /// periodically along z: then plane 0's sweep s waits for plane nz-1's
-  /// sweep s-1, no plane wavefront exists, and the sweeps run phased (see
-  /// the .cpp for the wavefront schedule and its dependency argument).
-  void fused_sigma_phase(common::StateField3<S>& q);
-  /// Source + sweeps + boundary fill as one skewed plane wavefront
-  /// (Neumann Sigma ghosts only — a periodic wrap would need far-boundary
-  /// post-sweep values before the stream reaches them).
-  void fused_sigma_pipeline(common::StateField3<S>& q);
+  /// Everything of one RK stage before the flux: the domain BC fill and
+  /// the Sigma solve, both in one exec team whose members each own a fixed
+  /// range of rows (see the .cpp for the schedule and its dependency
+  /// argument).  When Sigma wraps periodically along z, plane 0's sweep s
+  /// waits for plane nz-1's sweep s-1, no plane wavefront exists, and the
+  /// sweeps run phased after a team BC fill instead.
+  void stage_prologue(common::StateField3<S>& q);
+  /// Source + sweeps + boundary fill as one skewed plane wavefront, run by
+  /// one member of the stage team (Neumann z Sigma ghosts only — a periodic
+  /// wrap would need far-boundary post-sweep values before the stream
+  /// reaches them).
+  void fused_sigma_pipeline(common::StateField3<S>& q,
+                            const common::ExecSpace::Team& team,
+                            common::NeighbourProgress& progress);
   /// Streamed flux blocks with the RK update (and, on the final stage, the
   /// CFL reduction) trailing one block behind the flux front.
   void fused_flux_rk(common::StateField3<S>& q, common::StateField3<S>& rhs,

@@ -70,18 +70,16 @@ struct StencilRows {
 /// *current plane* (j ∈ [-1, ny]) holds the plane's sigma and
 /// reciprocal-density rows at compute precision, so adjacent (j, k) visits
 /// reuse the rows they share: a serial j walk converts each plane row once
-/// instead of three times, and the fused pipeline's two j-parity phases
-/// share one cache — phase 1 reads every center-plane row phase 0 already
-/// converted.  The single-use rows — sigma/inv_rho at the k∓1 planes and
-/// the source — stay direct per-visit loads.  (Storage is small and
-/// streaming: 2 fields × (ny + 2) rows of scratch per thread, of which
-/// only the stencil's three rows are hot at a time.)
+/// instead of three times.  The single-use rows — sigma/inv_rho at the k∓1
+/// planes and the source — stay direct per-visit loads, and so do the two
+/// neighbour-owned rows next to a team member's range (owned_lanes_row).
+/// The storage lives in the member's SigmaRowScratch: 2 fields × (ny + 2)
+/// rows, of which only the stencil's three rows are hot at a time.
 ///
 /// Red–black staleness note: the in-place color pass stores into rows this
 /// cache has already converted, so a cached row can be stale in the
-/// *updated* color's lanes relative to a fresh gather — including across
-/// the j-parity phase boundary, where phase 0 has written its rows' color
-/// lanes before phase 1 gathers them.  Those lanes are never consumed:
+/// *updated* color's lanes relative to a fresh gather.  Those lanes are
+/// never consumed:
 /// every tap feeding a stored value reads the opposite parity ((i+j+k) of
 /// each stencil neighbor flips), which the color pass does not write — so
 /// the stored bits are identical to the per-visit-gather form
@@ -95,17 +93,18 @@ class PlaneRowCache {
   using S = typename Policy::storage_t;
 
  public:
-  /// `ny` interior rows per plane; each cached row spans i ∈ [-1, nx].
-  PlaneRowCache(int ny, std::size_t row_len)
+  /// A view over a member's SigmaRowScratch: `ny` interior rows per plane;
+  /// each cached row spans i ∈ [-1, nx].
+  PlaneRowCache(SigmaRowScratch<Policy>& scratch, int ny, std::size_t row_len)
       : num_rows_(static_cast<std::size_t>(ny) + 2),
         row_len_(row_len),
-        held_(2 * num_rows_, kEmpty),
-        store_(2 * num_rows_ * row_len) {}
+        held_(scratch.held.data()),
+        store_(scratch.rows.data()) {}
 
   /// Switch to plane `k`, forgetting every cached row.
   void reset(int k) {
     k_ = k;
-    std::fill(held_.begin(), held_.end(), kEmpty);
+    std::fill(held_, held_ + 2 * num_rows_, kEmpty);
   }
 
   const C* sigma_row(const common::Field3<S>& sigma, int j) {
@@ -121,7 +120,7 @@ class PlaneRowCache {
   const C* row(const common::Field3<S>& f, int which, int j) {
     const std::size_t slot = static_cast<std::size_t>(which) * num_rows_ +
                              static_cast<std::size_t>(j + 1);
-    C* dst = store_.data() + slot * row_len_;
+    C* dst = store_ + slot * row_len_;
     if (held_[slot] != j) {
       common::load_line<Policy>(&f(-1, j, k_), dst, row_len_);
       held_[slot] = j;
@@ -132,8 +131,8 @@ class PlaneRowCache {
   std::size_t num_rows_;
   std::size_t row_len_;
   int k_ = 0;
-  std::vector<int> held_;
-  std::vector<C> store_;
+  int* held_;
+  C* store_;
 };
 
 /// Load the per-visit (single-use) rows into `aux` (5 consecutive rows) and
@@ -160,18 +159,22 @@ inline void load_transverse_rows(
 }
 
 /// Gather the full stencil for cell row (j, k): center-plane rows through
-/// the rolling cache, transverse rows direct.
+/// the rolling cache, transverse rows direct.  A non-null `sg_jm` / `sg_jp`
+/// replaces the j∓1 sigma row (a neighbour-owned row, see
+/// owned_lanes_row), which then never enters the cache.
 template <class Policy>
 inline StencilRows<typename Policy::compute_t> gather_rows(
     PlaneRowCache<Policy>& cache,
     const common::Field3<typename Policy::storage_t>& sig_in,
     const common::Field3<typename Policy::storage_t>& src,
     const common::Field3<typename Policy::storage_t>& inv_rho, int j, int k,
-    std::size_t row_len, typename Policy::compute_t* aux) {
+    std::size_t row_len, typename Policy::compute_t* aux,
+    const typename Policy::compute_t* sg_jm = nullptr,
+    const typename Policy::compute_t* sg_jp = nullptr) {
   StencilRows<typename Policy::compute_t> rows{};
   rows.sg_c = cache.sigma_row(sig_in, j);
-  rows.sg_jm = cache.sigma_row(sig_in, j - 1);
-  rows.sg_jp = cache.sigma_row(sig_in, j + 1);
+  rows.sg_jm = sg_jm != nullptr ? sg_jm : cache.sigma_row(sig_in, j - 1);
+  rows.sg_jp = sg_jp != nullptr ? sg_jp : cache.sigma_row(sig_in, j + 1);
   rows.ir_c = cache.inv_rho_row(inv_rho, j);
   rows.ir_jm = cache.inv_rho_row(inv_rho, j - 1);
   rows.ir_jp = cache.inv_rho_row(inv_rho, j + 1);
@@ -227,6 +230,81 @@ inline void relax_row_gathered(const StencilRows<C>& b, int nx, C alpha,
   }
 }
 
+/// Relax a gathered row and store the updated color's lanes of (j, k):
+/// whole-row tentative values (vectorizes), compacted, batch-converted and
+/// scattered back with stride 2.
+template <class Policy>
+inline void relax_store_color(
+    const StencilRows<typename Policy::compute_t>& rows,
+    common::Field3<typename Policy::storage_t>& sigma, int color, int j,
+    int k, typename Policy::compute_t alpha,
+    typename Policy::compute_t inv_dx2, typename Policy::compute_t inv_dy2,
+    typename Policy::compute_t inv_dz2, SigmaRowScratch<Policy>& sc) {
+  const int nx = sigma.nx();
+  relax_row_gathered<typename Policy::compute_t>(rows, nx, alpha, inv_dx2,
+                                                 inv_dy2, inv_dz2,
+                                                 sc.tmp.data());
+  const int i0 = (color + j + k) & 1;
+  std::size_t m = 0;
+  for (int i = i0; i < nx; i += 2) sc.vals[m++] = sc.tmp[i];
+  if (m > 0) {
+    common::store_line_strided<Policy>(sc.vals.data(), &sigma(i0, j, k), 2,
+                                       m);
+  }
+}
+
+// Keeps a loop scalar: the lane copies below must not be widened into
+// whole-vector loads, which would touch the lanes another member is storing.
+#if defined(__clang__)
+#define IGR_SCALAR_FN
+#define IGR_SCALAR_LOOP _Pragma("clang loop vectorize(disable)")
+#elif defined(__GNUC__)
+#define IGR_SCALAR_FN __attribute__((optimize("no-tree-vectorize")))
+#define IGR_SCALAR_LOOP
+#else
+#define IGR_SCALAR_FN
+#define IGR_SCALAR_LOOP
+#endif
+
+/// Copy lanes i ∈ [0, nx) of a row another member owns into `dst` (indexed
+/// like the row): those with i ≡ parity (mod 2), or all of them for
+/// parity < 0.  Only lanes some kept value reads are touched — the owner
+/// may be storing the rest, and its x ghosts, concurrently.
+template <class S>
+IGR_SCALAR_FN void copy_owned_lanes(const S* row, S* dst, int nx,
+                                    int parity) {
+  const int step = parity < 0 ? 1 : 2;
+  IGR_SCALAR_LOOP
+  for (int i = parity < 0 ? 0 : parity; i < nx; i += step) dst[i] = row[i];
+}
+
+/// The j∓1 sigma row `j` of plane k as a neighbour-owned row: its lanes
+/// with i ≡ parity copied into edge slot `slot` (0 or 1), returned as the
+/// storage row (for the per-element path, `raw`) or converted to compute
+/// precision in the cache layout (i ∈ [-1, nx]).  The lanes not copied
+/// hold stale values no kept lane reads.
+template <class Policy>
+const typename Policy::storage_t* owned_lanes_raw(
+    const common::Field3<typename Policy::storage_t>& sigma, int j, int k,
+    int parity, int slot, SigmaRowScratch<Policy>& sc) {
+  const int nx = sigma.nx();
+  auto* dst = sc.edge_raw.data() +
+              static_cast<std::size_t>(slot) * (static_cast<std::size_t>(nx) + 2) + 1;
+  copy_owned_lanes(&sigma(0, j, k), dst, nx, parity);
+  return dst;
+}
+
+template <class Policy>
+const typename Policy::compute_t* owned_lanes_row(
+    const common::Field3<typename Policy::storage_t>& sigma, int j, int k,
+    int parity, int slot, SigmaRowScratch<Policy>& sc) {
+  const std::size_t row_len = static_cast<std::size_t>(sigma.nx()) + 2;
+  const auto* raw = owned_lanes_raw(sigma, j, k, parity, slot, sc) - 1;
+  auto* dst = sc.edge.data() + static_cast<std::size_t>(slot) * row_len;
+  common::load_line<Policy>(raw, dst, row_len);
+  return dst;
+}
+
 /// One full-field relaxation pass.  With `jacobi` true, reads `in` and
 /// writes `out` (distinct buffers, embarrassingly parallel across the
 /// execution space); otherwise updates in place in the natural
@@ -275,7 +353,8 @@ void sweep(common::Field3<typename Policy::storage_t>& out,
 /// is the exact relax_cell expression, so a caller that keeps only some
 /// lanes stores the same bits the strided per-cell update would have.
 template <class C, class S>
-inline void relax_row(const S* pir, const S* psr, const S* ps, int nx,
+inline void relax_row(const S* pir, const S* psr, const S* ps,
+                      const S* sgj_m, const S* sgj_p, int nx,
                       std::ptrdiff_t sy, std::ptrdiff_t sz, C alpha, C inv_dx2,
                       C inv_dy2, C inv_dz2, C* __restrict out) {
   // relax_cell with the stencil taps hoisted into per-row pointers and the
@@ -283,12 +362,12 @@ inline void relax_row(const S* pir, const S* psr, const S* ps, int nx,
   // vectorizer handles (the relax_cell call form defeats it), and `out` is
   // thread-private scratch, never an alias of the field rows.  Term order
   // matches relax_cell exactly — each lane's bits are the per-cell result.
+  // The j∓1 sigma rows come in explicitly: the field rows (ps ∓ sy), or a
+  // copy of a neighbour-owned row's opposite-parity lanes.
   const S* irj_m = pir - sy;
   const S* irj_p = pir + sy;
   const S* irk_m = pir - sz;
   const S* irk_p = pir + sz;
-  const S* sgj_m = ps - sy;
-  const S* sgj_p = ps + sy;
   const S* sgk_m = ps - sz;
   const S* sgk_p = ps + sz;
   for (int i = 0; i < nx; ++i) {
@@ -355,8 +434,8 @@ void sweep_red_black(common::Field3<typename Policy::storage_t>& sigma,
             const S* pir = &inv_rho(0, j, k);
             const S* psr = &src(0, j, k);
             S* ps = &sigma(0, j, k);
-            relax_row<C>(pir, psr, ps, nx, sy, sz, alpha, inv_dx2, inv_dy2,
-                         inv_dz2, tmp.data());
+            relax_row<C>(pir, psr, ps, ps - sy, ps + sy, nx, sy, sz, alpha,
+                         inv_dx2, inv_dy2, inv_dz2, tmp.data());
             for (int i = (color + j + k) & 1; i < nx; i += 2) {
               ps[i] = static_cast<S>(tmp[i]);
             }
@@ -394,7 +473,6 @@ void sweep_red_black_batched(
     typename Policy::compute_t alpha, typename Policy::compute_t inv_dx2,
     typename Policy::compute_t inv_dy2, typename Policy::compute_t inv_dz2,
     const common::ExecSpace& exec) {
-  using C = typename Policy::compute_t;
   const int nx = sigma.nx(), ny = sigma.ny(), nz = sigma.nz();
   const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
 
@@ -402,10 +480,8 @@ void sweep_red_black_batched(
     for (int kphase = 0; kphase < 2; ++kphase) {
       const long nk = (static_cast<long>(nz) - kphase + 1) / 2;
       exec.run_team([&](const common::ExecSpace::Team& t) {
-        PlaneRowCache<Policy> cache(ny, row_len);
-        std::vector<C> aux(5 * row_len);
-        std::vector<C> tmp(static_cast<std::size_t>(nx));
-        std::vector<C> vals((static_cast<std::size_t>(nx) + 1) / 2);
+        SigmaRowScratch<Policy> sc(nx, ny);
+        PlaneRowCache<Policy> cache(sc, ny, row_len);
         long cb, ce;
         t.chunk(nk, cb, ce);
         for (long kk = cb; kk < ce; ++kk) {
@@ -413,17 +489,9 @@ void sweep_red_black_batched(
           cache.reset(k);
           for (int j = 0; j < ny; ++j) {
             const auto rows = gather_rows<Policy>(cache, sigma, src, inv_rho,
-                                                  j, k, row_len, aux.data());
-            // Whole-row tentative relax (vectorizes), keep the color lanes.
-            relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
-                                  tmp.data());
-            const int i0 = (color + j + k) & 1;
-            std::size_t m = 0;
-            for (int i = i0; i < nx; i += 2) vals[m++] = tmp[i];
-            if (m > 0) {
-              common::store_line_strided<Policy>(vals.data(),
-                                                 &sigma(i0, j, k), 2, m);
-            }
+                                                  j, k, row_len, sc.aux.data());
+            relax_store_color<Policy>(rows, sigma, color, j, k, alpha, inv_dx2,
+                                      inv_dy2, inv_dz2, sc);
           }
         }
       });
@@ -450,9 +518,8 @@ void sweep_jacobi_batched(
   const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
 
   exec.run_team([&](const common::ExecSpace::Team& t) {
-    PlaneRowCache<Policy> cache(ny, row_len);
-    std::vector<C> aux(5 * row_len);
-    std::vector<C> vals(static_cast<std::size_t>(nx));
+    SigmaRowScratch<Policy> sc(nx, ny);
+    PlaneRowCache<Policy> cache(sc, ny, row_len);
     long cb, ce;
     t.chunk(nz, cb, ce);
     for (long kk = cb; kk < ce; ++kk) {
@@ -460,68 +527,46 @@ void sweep_jacobi_batched(
       cache.reset(k);
       for (int j = 0; j < ny; ++j) {
         const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j, k,
-                                              row_len, aux.data());
+                                              row_len, sc.aux.data());
         relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
-                              vals.data());
-        common::store_line<Policy>(vals.data(), out.row(j, k),
+                              sc.tmp.data());
+        common::store_line<Policy>(sc.tmp.data(), out.row(j, k),
                                    static_cast<std::size_t>(nx));
       }
     }
   });
 }
 
-}  // namespace
-
-namespace {
-
-/// Shared body of the per-axis ghost fills.  For axes 0/1 the tangential k
-/// loop can be restricted to interior planes [kr0, kr1) — the per-plane rim
-/// fill of the fused pipeline; the full-extent fills pass [0, nz).  Axis 2
-/// ignores the range (its writes are whole ghost planes).
+/// Fill depth: `layers` clamped to the field's ghost depth (< 0 = all).
 template <class S>
-void fill_sigma_axis_krange(common::Field3<S>& sigma, SigmaBcSpec bc,
-                            int axis, std::array<bool, 2> sides, int layers,
-                            int kr0, int kr1) {
-  const int ng = (layers < 0 || layers > sigma.ng()) ? sigma.ng() : layers;
-  const int n[3] = {sigma.nx(), sigma.ny(), sigma.nz()};
-  {
-    int lo[3], hi[3];
-    for (int a = 0; a < 3; ++a) {
-      lo[a] = (a < axis) ? -ng : 0;
-      hi[a] = (a < axis) ? n[a] + ng : n[a];
-    }
-    if (axis < 2) {
-      lo[2] = kr0;
-      hi[2] = kr1;
-    }
-    for (int side = 0; side < 2; ++side) {
-      if (!sides[static_cast<std::size_t>(side)]) continue;
-      const SigmaBc face_bc = bc.side(axis, side);
-      for (int g = 1; g <= ng; ++g) {
-        const int ghost = (side == 0) ? -g : n[axis] + g - 1;
-        const int src = (face_bc == SigmaBc::kPeriodic)
-                            ? ((side == 0) ? n[axis] - g : g - 1)
-                            : ((side == 0) ? 0 : n[axis] - 1);
-        int i0 = lo[0], i1 = hi[0], j0 = lo[1], j1 = hi[1], k0 = lo[2],
-            k1 = hi[2];
-        if (axis == 0) { i0 = ghost; i1 = ghost + 1; }
-        if (axis == 1) { j0 = ghost; j1 = ghost + 1; }
-        if (axis == 2) { k0 = ghost; k1 = ghost + 1; }
-        for (int k = k0; k < k1; ++k) {
-          for (int j = j0; j < j1; ++j) {
-            for (int i = i0; i < i1; ++i) {
-              int sidx[3] = {i, j, k};
-              sidx[axis] = src;
-              sigma(i, j, k) = sigma(sidx[0], sidx[1], sidx[2]);
-            }
-          }
-        }
-      }
-    }
-  }
+int fill_depth(const common::Field3<S>& sigma, int layers) {
+  return (layers < 0 || layers > sigma.ng()) ? sigma.ng() : layers;
+}
+
+/// Source index along an axis with n interior cells for ghost layer g
+/// (1-based) of `side`.  For n < g a periodic wrap lands on a ghost of the
+/// same side written at an earlier layer, so every fill walks a face's
+/// layers in ascending g, low side first.
+int sigma_source_index(SigmaBc bc, int side, int g, int n) {
+  if (bc == SigmaBc::kPeriodic) return (side == 0) ? n - g : g - 1;
+  return (side == 0) ? 0 : n - 1;
 }
 
 }  // namespace
+
+template <class Policy>
+SigmaRowScratch<Policy>::SigmaRowScratch(int nx, int ny) {
+  const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
+  tmp.resize(static_cast<std::size_t>(nx));
+  vals.resize(static_cast<std::size_t>(nx));
+  edge_raw.resize(2 * row_len);
+  if constexpr (common::converts_storage<Policy>) {
+    edge.resize(2 * row_len);
+    aux.resize(5 * row_len);
+    held.resize(2 * (static_cast<std::size_t>(ny) + 2));
+    rows.resize(held.size() * row_len);
+  }
+}
 
 template <class Policy>
 void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
@@ -531,60 +576,47 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t dx,
                         typename Policy::compute_t dy,
                         typename Policy::compute_t dz, int color, int k0,
-                        int k1, bool batch, const common::ExecSpace& exec) {
+                        int k1, bool batch,
+                        const common::ExecSpace::Team& team,
+                        SigmaRowScratch<Policy>& sc) {
   using C = typename Policy::compute_t;
   using S = typename Policy::storage_t;
   const int nx = sigma.nx(), ny = sigma.ny();
   const C inv_dx2 = C(1) / (dx * dx);
   const C inv_dy2 = C(1) / (dy * dy);
   const C inv_dz2 = C(1) / (dz * dz);
+  long b, e;
+  team.chunk(ny, b, e);
+  const int jb = static_cast<int>(b), je = static_cast<int>(e);
+  if (jb == je) return;
+  // Rows jb-1 / je belong to the neighbouring members, which update the
+  // other parity of them concurrently: read through a copy of the lanes the
+  // edge row keeps (its update parity), never the whole row.
+  const bool lo_nbr = jb > 0, hi_nbr = je < ny;
 
-  // Planes are walked serially (the pipelined caller orders them; the k∓1
-  // stencil taps therefore never see a concurrently written plane) and rows
-  // parallelize within a plane in two j-parity phases: the whole-row
-  // evaluation reads rows j∓1 at every column, so rows of the same parity
-  // may update concurrently while their reads only cross to the other
-  // parity.
   if constexpr (common::converts_storage<Policy>) {
     if (batch) {
-      // One per-plane row cache shared by both j-parity phases: phase 0
-      // converts the rows it touches, phase 1's gathers then hit every
-      // center-plane row (its j∓1 neighbors were phase-0 centers, its
-      // centers were phase-0 neighbors).  Valid across the phase boundary
-      // by the parity argument at PlaneRowCache: the lanes phase 0 wrote
-      // are never consumed by any tap feeding a stored value.  The team
-      // barrier between the phases keeps the race-freedom structure the
-      // implicit omp-for barrier used to provide.
+      // One row cache per plane, shared by the member's serial j walk: every
+      // center-plane row converts once per visit.  Valid within the color
+      // pass by the parity argument at PlaneRowCache.
       const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
+      PlaneRowCache<Policy> cache(sc, ny, row_len);
       for (int k = k0; k < k1; ++k) {
-        exec.run_team([&](const common::ExecSpace::Team& t) {
-          PlaneRowCache<Policy> cache(ny, row_len);
-          cache.reset(k);
-          std::vector<C> aux(5 * row_len);
-          std::vector<C> tmp(static_cast<std::size_t>(nx));
-          std::vector<C> vals((static_cast<std::size_t>(nx) + 1) / 2);
-          for (int jphase = 0; jphase < 2; ++jphase) {
-            if (jphase == 1) t.barrier();
-            const long nj = (static_cast<long>(ny) - jphase + 1) / 2;
-            long cb, ce;
-            t.chunk(nj, cb, ce);
-            for (long jj = cb; jj < ce; ++jj) {
-              const int j = jphase + 2 * static_cast<int>(jj);
-              const auto rows = gather_rows<Policy>(cache, sigma, src,
-                                                    inv_rho, j, k, row_len,
-                                                    aux.data());
-              relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2,
-                                    inv_dz2, tmp.data());
-              const int i0 = (color + j + k) & 1;
-              std::size_t m = 0;
-              for (int i = i0; i < nx; i += 2) vals[m++] = tmp[i];
-              if (m > 0) {
-                common::store_line_strided<Policy>(vals.data(),
-                                                   &sigma(i0, j, k), 2, m);
-              }
-            }
-          }
-        });
+        cache.reset(k);
+        for (int j = jb; j < je; ++j) {
+          const int keep = (color + j + k) & 1;
+          const C* jm = (j == jb && lo_nbr)
+                            ? owned_lanes_row(sigma, j - 1, k, keep, 0, sc)
+                            : nullptr;
+          const C* jp = (j == je - 1 && hi_nbr)
+                            ? owned_lanes_row(sigma, j + 1, k, keep, 1, sc)
+                            : nullptr;
+          const auto rows = gather_rows<Policy>(cache, sigma, src, inv_rho, j,
+                                                k, row_len, sc.aux.data(), jm,
+                                                jp);
+          relax_store_color<Policy>(rows, sigma, color, j, k, alpha, inv_dx2,
+                                    inv_dy2, inv_dz2, sc);
+        }
       }
       return;
     }
@@ -593,24 +625,20 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
   const std::ptrdiff_t sy = inv_rho.stride(1);
   const std::ptrdiff_t sz = inv_rho.stride(2);
   for (int k = k0; k < k1; ++k) {
-    for (int jphase = 0; jphase < 2; ++jphase) {
-      const long nj = (static_cast<long>(ny) - jphase + 1) / 2;
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> tmp(static_cast<std::size_t>(nx));
-        long cb, ce;
-        t.chunk(nj, cb, ce);
-        for (long jj = cb; jj < ce; ++jj) {
-          const int j = jphase + 2 * static_cast<int>(jj);
-          const S* pir = &inv_rho(0, j, k);
-          const S* psr = &src(0, j, k);
-          S* ps = &sigma(0, j, k);
-          relax_row<C>(pir, psr, ps, nx, sy, sz, alpha, inv_dx2, inv_dy2,
-                       inv_dz2, tmp.data());
-          for (int i = (color + j + k) & 1; i < nx; i += 2) {
-            ps[i] = static_cast<S>(tmp[i]);
-          }
-        }
-      });
+    for (int j = jb; j < je; ++j) {
+      const int keep = (color + j + k) & 1;
+      const S* pir = &inv_rho(0, j, k);
+      const S* psr = &src(0, j, k);
+      S* ps = &sigma(0, j, k);
+      const S* jm = (j == jb && lo_nbr)
+                        ? owned_lanes_raw(sigma, j - 1, k, keep, 0, sc)
+                        : ps - sy;
+      const S* jp = (j == je - 1 && hi_nbr)
+                        ? owned_lanes_raw(sigma, j + 1, k, keep, 1, sc)
+                        : ps + sy;
+      relax_row<C>(pir, psr, ps, jm, jp, nx, sy, sz, alpha, inv_dx2, inv_dy2,
+                   inv_dz2, sc.tmp.data());
+      for (int i = keep; i < nx; i += 2) ps[i] = static_cast<S>(sc.tmp[i]);
     }
   }
 }
@@ -624,81 +652,131 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t dx,
                          typename Policy::compute_t dy,
                          typename Policy::compute_t dz, int k0, int k1,
-                         bool batch, const common::ExecSpace& exec) {
+                         bool batch, const common::ExecSpace::Team& team,
+                         SigmaRowScratch<Policy>& sc) {
   using C = typename Policy::compute_t;
   using S = typename Policy::storage_t;
   const int nx = out.nx(), ny = out.ny();
   const C inv_dx2 = C(1) / (dx * dx);
   const C inv_dy2 = C(1) / (dy * dy);
   const C inv_dz2 = C(1) / (dz * dz);
-
-  // Both paths partition the flattened (k, j) row index space — the
-  // collapse(2) replacement; writes are disjoint rows of `out`.
-  const long total = static_cast<long>(k1 - k0) * ny;
+  long b, e;
+  team.chunk(ny, b, e);
+  const int jb = static_cast<int>(b), je = static_cast<int>(e);
+  if (jb == je) return;
 
   if constexpr (common::converts_storage<Policy>) {
     if (batch) {
+      // The cache would convert whole rows, x ghosts included; a
+      // neighbour-owned row is copied over [0, nx) instead.
       const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        PlaneRowCache<Policy> cache(ny, row_len);
-        int cached_k = INT_MIN;
-        std::vector<C> aux(5 * row_len);
-        std::vector<C> vals(static_cast<std::size_t>(nx));
-        long cb, ce;
-        t.chunk(total, cb, ce);
-        for (long idx = cb; idx < ce; ++idx) {
-          const int k = k0 + static_cast<int>(idx / ny);
-          const int j = static_cast<int>(idx % ny);
-          if (k != cached_k) {
-            cache.reset(k);
-            cached_k = k;
-          }
-          const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j,
-                                                k, row_len, aux.data());
+      PlaneRowCache<Policy> cache(sc, ny, row_len);
+      for (int k = k0; k < k1; ++k) {
+        cache.reset(k);
+        for (int j = jb; j < je; ++j) {
+          const C* jm = (j == jb && jb > 0)
+                            ? owned_lanes_row(in, j - 1, k, -1, 0, sc)
+                            : nullptr;
+          const C* jp = (j == je - 1 && je < ny)
+                            ? owned_lanes_row(in, j + 1, k, -1, 1, sc)
+                            : nullptr;
+          const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j, k,
+                                                row_len, sc.aux.data(), jm, jp);
           relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
-                                vals.data());
-          common::store_line<Policy>(vals.data(), out.row(j, k),
+                                sc.tmp.data());
+          common::store_line<Policy>(sc.tmp.data(), out.row(j, k),
                                      static_cast<std::size_t>(nx));
         }
-      });
+      }
       return;
     }
   }
 
+  // The per-cell taps read rows j∓1 over [0, nx) only.
   const std::ptrdiff_t sy = inv_rho.stride(1);
   const std::ptrdiff_t sz = inv_rho.stride(2);
-  exec.for_each(total, [&](long idx) {
-    const int k = k0 + static_cast<int>(idx / ny);
-    const int j = static_cast<int>(idx % ny);
-    const S* pir = &inv_rho(0, j, k);
-    const S* psr = &src(0, j, k);
-    const S* ps = &in(0, j, k);
-    S* po = &out(0, j, k);
-    for (int i = 0; i < nx; ++i) {
-      po[i] = static_cast<S>(relax_cell<C>(pir, psr, ps, i, sy, sz, alpha,
-                                           inv_dx2, inv_dy2, inv_dz2));
+  for (int k = k0; k < k1; ++k) {
+    for (int j = jb; j < je; ++j) {
+      const S* pir = &inv_rho(0, j, k);
+      const S* psr = &src(0, j, k);
+      const S* ps = &in(0, j, k);
+      S* po = &out(0, j, k);
+      for (int i = 0; i < nx; ++i) {
+        po[i] = static_cast<S>(relax_cell<C>(pir, psr, ps, i, sy, sz, alpha,
+                                             inv_dx2, inv_dy2, inv_dz2));
+      }
     }
-  });
+  }
+}
+
+template <class S>
+void fill_sigma_xghosts(common::Field3<S>& sigma, SigmaBcSpec bc,
+                        std::array<bool, 2> sides, int k, int j0, int j1,
+                        int layers) {
+  const int ng = fill_depth(sigma, layers);
+  const int nx = sigma.nx();
+  for (int j = j0; j < j1; ++j) {
+    S* row = sigma.row(j, k);
+    for (int side = 0; side < 2; ++side) {
+      if (!sides[static_cast<std::size_t>(side)]) continue;
+      const SigmaBc face = bc.side(0, side);
+      for (int g = 1; g <= ng; ++g) {
+        row[(side == 0) ? -g : nx + g - 1] =
+            row[sigma_source_index(face, side, g, nx)];
+      }
+    }
+  }
+}
+
+template <class S>
+void fill_sigma_yghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
+                        int k, int i0, int i1, int layers) {
+  const int ng = fill_depth(sigma, layers);
+  const int ny = sigma.ny();
+  const SigmaBc face = bc.side(1, side);
+  const auto len = static_cast<std::size_t>(i1 - i0);
+  for (int g = 1; g <= ng; ++g) {
+    const int ghost = (side == 0) ? -g : ny + g - 1;
+    std::copy_n(&sigma(i0, sigma_source_index(face, side, g, ny), k), len,
+                &sigma(i0, ghost, k));
+  }
+}
+
+template <class S>
+void fill_sigma_zghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
+                        int j0, int j1, int layers) {
+  const int ng = fill_depth(sigma, layers);
+  const int nz = sigma.nz();
+  const SigmaBc face = bc.side(2, side);
+  const auto len = static_cast<std::size_t>(sigma.nx() + 2 * ng);
+  for (int g = 1; g <= ng; ++g) {
+    const int ghost = (side == 0) ? -g : nz + g - 1;
+    const int src = sigma_source_index(face, side, g, nz);
+    for (int j = j0; j < j1; ++j)
+      std::copy_n(&sigma(-ng, j, src), len, &sigma(-ng, j, ghost));
+  }
 }
 
 template <class S>
 void fill_sigma_ghosts_axis(common::Field3<S>& sigma, SigmaBcSpec bc,
                             int axis, std::array<bool, 2> sides, int layers) {
-  fill_sigma_axis_krange(sigma, bc, axis, sides, layers, 0, sigma.nz());
-}
-
-template <class S>
-void fill_sigma_rim(common::Field3<S>& sigma, SigmaBcSpec bc, int k0, int k1,
-                    int layers) {
-  fill_sigma_axis_krange(sigma, bc, 0, {true, true}, layers, k0, k1);
-  fill_sigma_axis_krange(sigma, bc, 1, {true, true}, layers, k0, k1);
-}
-
-template <class S>
-void fill_sigma_zghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
-                        int layers) {
-  fill_sigma_axis_krange(sigma, bc, 2,
-                         {side == 0, side == 1}, layers, 0, sigma.nz());
+  // Tangential extents widen over the axes filled before (x, then y, then
+  // z), so edge and corner ghosts are defined.
+  const int ng = fill_depth(sigma, layers);
+  const int nx = sigma.nx(), ny = sigma.ny(), nz = sigma.nz();
+  for (int side = 0; side < 2; ++side) {
+    if (!sides[static_cast<std::size_t>(side)]) continue;
+    if (axis == 0) {
+      std::array<bool, 2> one{};
+      one[static_cast<std::size_t>(side)] = true;
+      for (int k = 0; k < nz; ++k) fill_sigma_xghosts(sigma, bc, one, k, 0, ny, ng);
+    } else if (axis == 1) {
+      for (int k = 0; k < nz; ++k)
+        fill_sigma_yghosts(sigma, bc, side, k, -ng, nx + ng, ng);
+    } else {
+      fill_sigma_zghosts(sigma, bc, side, -ng, ny + ng, ng);
+    }
+  }
 }
 
 template <class S>
@@ -711,10 +789,13 @@ void fill_sigma_ghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int layers) {
   template void fill_sigma_ghosts<T>(common::Field3<T>&, SigmaBcSpec, int);    \
   template void fill_sigma_ghosts_axis<T>(common::Field3<T>&, SigmaBcSpec,     \
                                           int, std::array<bool, 2>, int);      \
-  template void fill_sigma_rim<T>(common::Field3<T>&, SigmaBcSpec, int, int,   \
-                                  int);                                        \
+  template void fill_sigma_xghosts<T>(common::Field3<T>&, SigmaBcSpec,         \
+                                      std::array<bool, 2>, int, int, int,      \
+                                      int);                                    \
+  template void fill_sigma_yghosts<T>(common::Field3<T>&, SigmaBcSpec, int,    \
+                                      int, int, int, int);                     \
   template void fill_sigma_zghosts<T>(common::Field3<T>&, SigmaBcSpec, int,    \
-                                      int);
+                                      int, int, int);
 
 IGR_INSTANTIATE_SIGMA_GHOSTS(double)
 IGR_INSTANTIATE_SIGMA_GHOSTS(float)
@@ -897,16 +978,17 @@ using common::Fp64;
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
       const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \
       P::compute_t, P::compute_t);                                             \
+  template struct SigmaRowScratch<P>;                                          \
   template void sigma_relax_planes<P>(                                         \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \
       P::compute_t, P::compute_t, int, int, int, bool,                         \
-      const common::ExecSpace&);                                               \
+      const common::ExecSpace::Team&, SigmaRowScratch<P>&);                    \
   template void sigma_jacobi_planes<P>(                                        \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
       P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, int, bool,  \
-      const common::ExecSpace&);
+      const common::ExecSpace::Team&, SigmaRowScratch<P>&);
 
 IGR_INSTANTIATE_SIGMA(Fp64)
 IGR_INSTANTIATE_SIGMA(Fp32)

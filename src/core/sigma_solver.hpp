@@ -15,6 +15,7 @@
 /// operator symmetric positive definite for rho > 0.
 
 #include <array>
+#include <vector>
 
 #include "common/exec.hpp"
 #include "common/field3.hpp"
@@ -82,35 +83,66 @@ void fill_sigma_ghosts_axis(common::Field3<S>& sigma, SigmaBcSpec bc,
                             int axis, std::array<bool, 2> sides,
                             int layers = -1);
 
-// --- Plane-streaming building blocks (the fused RHS pipeline) ---
+// --- Row-range building blocks (the fused RHS pipeline) ---
 // A full sweep (ghost fill + both red–black colors, or one Jacobi pass)
 // decomposes into per-plane slots whose reads only ever see the values the
 // phased schedule would show them, so a k-skewed wavefront of these calls is
-// bitwise-identical to sigma_sweep_once.  See IgrSolver3D's fused pipeline
-// for the slot schedule and its dependency argument.
+// bitwise-identical to sigma_sweep_once.  The pipeline runs the wavefront in
+// one team whose members each own a fixed contiguous range of rows
+// (Team::chunk over y); see IgrSolver3D's fused pipeline for the slot
+// schedule and its dependency argument.
 
-/// x/y ghost-rim fill of interior planes k ∈ [k0, k1) only — the per-plane
-/// restriction of fill_sigma_ghosts' axis-0 then axis-1 passes (corner cells
-/// match: the axis-1 fill reads the axis-0 columns written just before).
+/// x ghost columns, `layers` deep on the unmasked sides, of rows
+/// [j0, j1) of plane k: fill_sigma_ghosts' axis-0 pass restricted to those
+/// rows (each reads only its own row).
 template <class S>
-void fill_sigma_rim(common::Field3<S>& sigma, SigmaBcSpec bc, int k0,
-                    int k1, int layers = -1);
-
-/// z ghost-plane fill of one side (0 = low, 1 = high): whole-plane copies
-/// over the full x/y-extended extent, exactly the axis-2 pass of
-/// fill_sigma_ghosts restricted to one face.  The source plane's rim must
-/// already hold the values the phased fill would copy.
-template <class S>
-void fill_sigma_zghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
+void fill_sigma_xghosts(common::Field3<S>& sigma, SigmaBcSpec bc,
+                        std::array<bool, 2> sides, int k, int j0, int j1,
                         int layers = -1);
 
-/// One red–black half-pass updating parity (i+j+k) ≡ `color` (mod 2),
-/// restricted to planes k ∈ [k0, k1), in place.  Reads only the opposite
-/// parity (planes k0-1..k1) plus src/inv_rho, so the caller may schedule
-/// planes in any order that respects the sweep's cross-plane dependencies.
-/// No k-parity phasing is needed here (unlike the full-field batched pass):
-/// the caller serializes plane slots, so concurrent row gathers never span
-/// a plane another thread is writing.
+/// y ghost rows of one side (0 = low, 1 = high) of plane k over x ∈
+/// [i0, i1): the axis-1 pass restricted to one plane and x span.  Over the
+/// widened span [-layers, nx + layers) the sources' x ghosts must already
+/// be filled, as in the phased fill.
+template <class S>
+void fill_sigma_yghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
+                        int k, int i0, int i1, int layers = -1);
+
+/// Rows [j0, j1) (y ghost rows allowed) of the z ghost planes of one side,
+/// over the x span widened by the fill depth: the axis-2 pass restricted to
+/// those rows.
+template <class S>
+void fill_sigma_zghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
+                        int j0, int j1, int layers = -1);
+
+/// Per-member scratch of the row kernels below, allocated once per member
+/// per team launch (not per plane or color).  Members: whole-row tentative
+/// values and one color's compacted values; copies of the two
+/// neighbour-owned sigma rows a member's edge rows read; for converting
+/// policies the five per-visit transverse rows and the plane row cache
+/// (2 fields x (ny + 2) rows at compute precision).
+template <class Policy>
+struct SigmaRowScratch {
+  using C = typename Policy::compute_t;
+  using S = typename Policy::storage_t;
+  SigmaRowScratch(int nx, int ny);
+
+  std::vector<C> tmp;
+  std::vector<C> vals;
+  std::vector<S> edge_raw;
+  std::vector<C> edge;
+  std::vector<C> aux;
+  std::vector<int> held;
+  std::vector<C> rows;
+};
+
+/// One red–black half-pass updating parity (i+j+k) ≡ `color` (mod 2) of
+/// planes k ∈ [k0, k1), in place, for this member's rows (team.chunk over
+/// y).  Reads only the opposite parity (planes k0-1..k1, rows j∓1) plus
+/// src/inv_rho.  Of the two rows next to its range that other members own
+/// it reads only the opposite-parity lanes, which their concurrent
+/// half-pass over the same plane does not store — so members need no
+/// ordering within a plane slot, only the caller's between wavefronts.
 template <class Policy>
 void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         const common::Field3<typename Policy::storage_t>& src,
@@ -119,12 +151,15 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t dx,
                         typename Policy::compute_t dy,
                         typename Policy::compute_t dz, int color, int k0,
-                        int k1, bool batch = true,
-                        const common::ExecSpace& exec = {});
+                        int k1, bool batch,
+                        const common::ExecSpace::Team& team,
+                        SigmaRowScratch<Policy>& scratch);
 
-/// One Jacobi pass restricted to planes k ∈ [k0, k1): reads `in` (planes
-/// k0-1..k1 and the rim ghosts of [k0,k1)), writes `out`.  The caller owns
-/// the double-buffer bookkeeping (sigma_sweep_once swaps whole fields; a
+/// One Jacobi pass of planes k ∈ [k0, k1) for this member's rows: reads
+/// `in` (planes k0-1..k1, rows j∓1, the rim ghosts of its rows), writes
+/// `out`.  Neighbour-owned rows of `in` are read over x ∈ [0, nx) only
+/// (their owners may be filling the x ghosts).  The caller owns the
+/// double-buffer bookkeeping (sigma_sweep_once swaps whole fields; a
 /// pipelined caller alternates buffers per sweep and swaps once at the end).
 template <class Policy>
 void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
@@ -135,8 +170,8 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t dx,
                          typename Policy::compute_t dy,
                          typename Policy::compute_t dz, int k0, int k1,
-                         bool batch = true,
-                         const common::ExecSpace& exec = {});
+                         bool batch, const common::ExecSpace::Team& team,
+                         SigmaRowScratch<Policy>& scratch);
 
 /// Relaxation sweeps for eq. (9).
 ///

@@ -1,6 +1,7 @@
 #include "fv/bc.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -33,173 +34,233 @@ int find_patch(const std::vector<InflowPatch>& patches, double t1,
   return -1;
 }
 
-/// Ghost fills are hot (every RK stage refills ~0.6 ghost cells per interior
-/// cell), so the per-kind loops below copy whole contiguous spans wherever
-/// the memory layout allows — a ghost *row* for the y axis (the x ghosts of
-/// the tangential axes are already filled), a whole ghost *plane* for the z
-/// axis — instead of walking cells through the indexing arithmetic.  Every
-/// specialization writes exactly the values of the straightforward per-cell
-/// form it replaced.
-///
-/// The negated normal momentum of a reflective wall uses the same
-/// double-negate-cast expression the per-cell form used (negation is exact
-/// at every precision, but keeping the expression keeps the intent
-/// obvious).
-template <class T>
-void fill_axis(common::StateField3<T>& q, const BcSpec& spec,
-               const mesh::Grid& grid, const eos::IdealGas& eos, int axis,
-               std::array<bool, 2> sides) {
-  const int ng = q.ng();
-  const int n[3] = {q.nx(), q.ny(), q.nz()};
-  // Tangential loop bounds: include ghosts for axes already filled so that
-  // edge/corner ghosts end up defined (x first, then y, then z).
-  int lo[3], hi[3];
-  for (int a = 0; a < 3; ++a) {
-    const bool widen = a < axis;
-    lo[a] = widen ? -ng : 0;
-    hi[a] = widen ? n[a] + ng : n[a];
-  }
+/// One face's fill rule, resolved once per fill: a Dirichlet face with no
+/// prescribed state extrapolates zero-gradient, and the prescribed/injected
+/// conservative states are converted once (not per ghost cell).
+struct FaceRule {
+  BcKind kind = BcKind::kPeriodic;
+  const std::vector<InflowPatch>* patches = nullptr;
+  std::vector<common::Cons<double>> patch_cons;
+  common::Cons<double> dirichlet_cons{};
+};
 
+using FaceRules = std::array<FaceRule, mesh::kNumFaces>;
+
+FaceRules resolve_rules(const BcSpec& spec, const eos::IdealGas& eos) {
+  FaceRules rules;
+  for (int f = 0; f < mesh::kNumFaces; ++f) {
+    const auto face = static_cast<mesh::Face>(f);
+    const auto fi = static_cast<std::size_t>(f);
+    FaceRule& r = rules[fi];
+    r.kind = spec.face_kind(face);
+    if (r.kind == BcKind::kDirichlet && !spec.dirichlet_set[fi])
+      r.kind = BcKind::kOutflow;
+    if (r.kind == BcKind::kDirichlet)
+      r.dirichlet_cons = eos.to_cons(spec.dirichlet[fi]);
+    if (r.kind == BcKind::kInflowPatches) {
+      r.patches = &spec.patches[fi];
+      for (const auto& p : *r.patches) r.patch_cons.push_back(eos.to_cons(p.state));
+    }
+  }
+  return rules;
+}
+
+/// Source index along the face normal of ghost layer g (1-based) on `side`
+/// of an axis with n interior cells.  For n < g a periodic wrap lands on a
+/// ghost of the same side written at an earlier layer, so every fill below
+/// walks a face's layers in ascending g, low side before high side.
+int source_index(BcKind kind, int side, int g, int n) {
+  if (kind == BcKind::kPeriodic) return (side == 0) ? n - g : g - 1;
+  if (kind == BcKind::kOutflow) return (side == 0) ? 0 : n - 1;
+  return (side == 0) ? g - 1 : n - g;  // reflective (and a patch face's plate)
+}
+
+int ghost_index(int side, int g, int n) { return (side == 0) ? -g : n + g - 1; }
+
+/// `dst[i] = src[i]`, or the negated value for the normal momentum of a
+/// reflective wall (negation is exact at every precision; the
+/// double-negate-cast keeps the per-cell form's expression).
+template <class T>
+void copy_span(T* dst, const T* src, std::size_t len, bool negate) {
+  if (negate) {
+    for (std::size_t i = 0; i < len; ++i)
+      dst[i] = static_cast<T>(-static_cast<double>(src[i]));
+  } else {
+    std::memcpy(dst, src, len * sizeof(T));
+  }
+}
+
+/// Fill cell (i, j, k) of an inflow-patch face from patch `p`, or mirror it
+/// as base-plate wall from (si, sj, sk) when p < 0.
+template <class T>
+void patch_cell(common::StateField3<T>& q, const FaceRule& r, int p, int nm,
+                int i, int j, int k, int si, int sj, int sk) {
+  if (p >= 0) {
+    const auto& qc = r.patch_cons[static_cast<std::size_t>(p)];
+    for (int c = 0; c < kNumVars; ++c) q[c](i, j, k) = static_cast<T>(qc[c]);
+  } else {
+    for (int c = 0; c < kNumVars; ++c) q[c](i, j, k) = q[c](si, sj, sk);
+    q[nm](i, j, k) =
+        static_cast<T>(-static_cast<double>(q[nm](si, sj, sk)));
+  }
+}
+
+// The three axis passes, each restricted to a slab of its tangential range
+// so a team can split it.  Ghost fills are hot (every RK stage refills ~0.6
+// ghost cells per interior cell), so each pass visits a row (x), a
+// (plane, side) (y) or a row of a ghost plane (z) once and writes all of its
+// ghost layers there, copying contiguous spans wherever the layout allows.
+// Every cell gets exactly the value of the straightforward per-cell form:
+// the x pass sources only its own row, and the tangential extents widen
+// over the axes filled before (x, then y, then z), so edge and corner
+// ghosts are defined.
+
+/// x ghost columns of interior rows j ∈ [j0, j1), every interior plane.
+/// One pass per component over the rows, all layers of both sides per row;
+/// a patch face goes per row instead, its patch test shared by the
+/// components and layers.  Low side before high side per row, as every
+/// fill orders them.
+template <class T>
+void fill_x(common::StateField3<T>& q, const FaceRules& rules,
+            const mesh::Grid& grid, std::array<bool, 2> sides, int j0,
+            int j1) {
+  const int ng = q.ng(), nx = q.nx(), nz = q.nz();
+  const int nm = normal_mom(0);
+  auto patch_side = [&](int side) {
+    const FaceRule& r = rules[static_cast<std::size_t>(side)];
+    for (int k = 0; k < nz; ++k) {
+      for (int j = j0; j < j1; ++j) {
+        const int p = find_patch(*r.patches, grid.y(j), grid.z(k));
+        for (int g = 1; g <= ng; ++g) {
+          patch_cell(q, r, p, nm, ghost_index(side, g, nx), j, k,
+                     source_index(BcKind::kReflective, side, g, nx), j, k);
+        }
+      }
+    }
+  };
+  bool copy[2];
+  for (int side = 0; side < 2; ++side) {
+    copy[side] = sides[static_cast<std::size_t>(side)] &&
+                 rules[static_cast<std::size_t>(side)].kind !=
+                     BcKind::kInflowPatches;
+  }
+  if (sides[0] && !copy[0]) patch_side(0);
+  if (copy[0] || copy[1]) {
+    // Rows are one cold cache line at each end; the layer loop defeats the
+    // stride prefetcher, so fetch both ends a few rows ahead explicitly.
+    constexpr int kAhead = 8;
+    const std::ptrdiff_t sy = q[0].stride(1);
+    for (int c = 0; c < kNumVars; ++c) {
+      for (int k = 0; k < nz; ++k) {
+        for (int j = j0; j < j1; ++j) {
+          T* row = q[c].row(j, k);
+          if (j + kAhead < j1) {
+            __builtin_prefetch(row + kAhead * sy - ng, 1);
+            __builtin_prefetch(row + kAhead * sy + nx - 1, 1);
+          }
+          for (int side = 0; side < 2; ++side) {
+            if (!copy[side]) continue;
+            const FaceRule& r = rules[static_cast<std::size_t>(side)];
+            if (r.kind == BcKind::kDirichlet) {
+              const T dv = static_cast<T>(r.dirichlet_cons[c]);
+              for (int g = 1; g <= ng; ++g) row[ghost_index(side, g, nx)] = dv;
+              continue;
+            }
+            const bool negate = r.kind == BcKind::kReflective && c == nm;
+            for (int g = 1; g <= ng; ++g) {
+              const T v = row[source_index(r.kind, side, g, nx)];
+              row[ghost_index(side, g, nx)] =
+                  negate ? static_cast<T>(-static_cast<double>(v)) : v;
+            }
+          }
+        }
+      }
+    }
+  }
+  if (sides[1] && !copy[1]) patch_side(1);
+}
+
+/// y ghost rows (x-extended) of interior planes k ∈ [k0, k1).
+template <class T>
+void fill_y(common::StateField3<T>& q, const FaceRules& rules,
+            const mesh::Grid& grid, std::array<bool, 2> sides, int k0,
+            int k1) {
+  const int ng = q.ng(), nx = q.nx(), ny = q.ny();
+  const int nm = normal_mom(1);
+  const auto len = static_cast<std::size_t>(nx + 2 * ng);
+  for (int k = k0; k < k1; ++k) {
+    for (int side = 0; side < 2; ++side) {
+      if (!sides[static_cast<std::size_t>(side)]) continue;
+      const FaceRule& r = rules[2 + static_cast<std::size_t>(side)];
+      for (int g = 1; g <= ng; ++g) {
+        const int ghost = ghost_index(side, g, ny);
+        if (r.kind == BcKind::kInflowPatches) {
+          const int src = source_index(BcKind::kReflective, side, g, ny);
+          for (int i = -ng; i < nx + ng; ++i) {
+            const int p = find_patch(*r.patches, grid.x(i), grid.z(k));
+            patch_cell(q, r, p, nm, i, ghost, k, i, src, k);
+          }
+          continue;
+        }
+        for (int c = 0; c < kNumVars; ++c) {
+          T* dst = &q[c](-ng, ghost, k);
+          if (r.kind == BcKind::kDirichlet) {
+            std::fill_n(dst, len, static_cast<T>(r.dirichlet_cons[c]));
+            continue;
+          }
+          copy_span(dst, &q[c](-ng, source_index(r.kind, side, g, ny), k),
+                    len, r.kind == BcKind::kReflective && c == nm);
+        }
+      }
+    }
+  }
+}
+
+/// Rows j ∈ [j0, j1) (x-extended; j may run over the y ghosts) of the z
+/// ghost planes.
+template <class T>
+void fill_z(common::StateField3<T>& q, const FaceRules& rules,
+            const mesh::Grid& grid, std::array<bool, 2> sides, int j0,
+            int j1) {
+  const int ng = q.ng(), nx = q.nx(), nz = q.nz();
+  const int nm = normal_mom(2);
+  const auto len = static_cast<std::size_t>(nx + 2 * ng);
+  if (j0 >= j1) return;
+  std::vector<int> row_patch;
   for (int side = 0; side < 2; ++side) {
     if (!sides[static_cast<std::size_t>(side)]) continue;
-    const auto face = static_cast<mesh::Face>(2 * axis + side);
-    const auto fidx = static_cast<std::size_t>(face);
-    BcKind kind = spec.face_kind(face);
-    // A Dirichlet face with no prescribed state extrapolates zero-gradient.
-    if (kind == BcKind::kDirichlet && !spec.dirichlet_set[fidx])
-      kind = BcKind::kOutflow;
-    const auto& patches = spec.patches[static_cast<std::size_t>(face)];
-
-    // Prescribed conservative state of a uniform Dirichlet face, converted
-    // once per fill.
-    common::Cons<double> dirichlet_cons{};
-    if (kind == BcKind::kDirichlet)
-      dirichlet_cons = eos.to_cons(spec.dirichlet[fidx]);
-
-    // Injected conservative state per patch, converted once per fill (the
-    // per-cell form recomputed it for every ghost cell of every stage).
-    std::vector<common::Cons<double>> patch_cons;
-    if (kind == BcKind::kInflowPatches) {
-      patch_cons.reserve(patches.size());
-      for (const auto& p : patches) patch_cons.push_back(eos.to_cons(p.state));
+    const FaceRule& r = rules[4 + static_cast<std::size_t>(side)];
+    if (r.kind == BcKind::kInflowPatches) {
+      for (int j = j0; j < j1; ++j) {
+        // The patch test depends on (x, y) only: once per cell of the row,
+        // shared by the ghost layers.
+        row_patch.resize(len);
+        for (int i = -ng; i < nx + ng; ++i)
+          row_patch[static_cast<std::size_t>(i + ng)] =
+              find_patch(*r.patches, grid.x(i), grid.y(j));
+        for (int g = 1; g <= ng; ++g) {
+          const int ghost = ghost_index(side, g, nz);
+          const int src = source_index(BcKind::kReflective, side, g, nz);
+          for (int i = -ng; i < nx + ng; ++i)
+            patch_cell(q, r, row_patch[static_cast<std::size_t>(i + ng)], nm,
+                       i, j, ghost, i, j, src);
+        }
+      }
+      continue;
     }
-
+    // Full x-extended rows are contiguous: rows [j0, j1) of a plane are one
+    // span.
+    const auto span = len * static_cast<std::size_t>(j1 - j0);
     for (int g = 1; g <= ng; ++g) {
-      // Ghost index and its source (interior) index along `axis`.
-      const int ghost = (side == 0) ? -g : n[axis] + g - 1;
-      const int wrap = (side == 0) ? n[axis] - g : g - 1;
-      const int clamp = (side == 0) ? 0 : n[axis] - 1;
-      const int mirror = (side == 0) ? g - 1 : n[axis] - g;
-      const int src_plain = (kind == BcKind::kPeriodic) ? wrap
-                            : (kind == BcKind::kOutflow) ? clamp
-                                                         : mirror;
-      const int nm = normal_mom(axis);
-
-      if (kind == BcKind::kDirichlet) {
-        // Uniform prescribed state: every ghost cell of the face takes one
-        // constant per component, so the fills are the same contiguous
-        // spans as the copy kinds — a column element per (j, k) row for the
-        // x axis, an x-row per k for the y axis, a whole plane for z.
-        for (int c = 0; c < kNumVars; ++c) {
-          const T dv = static_cast<T>(dirichlet_cons[c]);
-          if (axis == 0) {
-            for (int k = 0; k < n[2]; ++k)
-              for (int j = 0; j < n[1]; ++j) q[c].row(j, k)[ghost] = dv;
-          } else if (axis == 1) {
-            const std::size_t len = static_cast<std::size_t>(hi[0] - lo[0]);
-            for (int k = 0; k < n[2]; ++k)
-              std::fill_n(&q[c](lo[0], ghost, k), len, dv);
-          } else {
-            const std::size_t len =
-                static_cast<std::size_t>(hi[0] - lo[0]) *
-                static_cast<std::size_t>(hi[1] - lo[1]);
-            std::fill_n(&q[c](lo[0], lo[1], ghost), len, dv);
-          }
+      const int ghost = ghost_index(side, g, nz);
+      for (int c = 0; c < kNumVars; ++c) {
+        T* dst = &q[c](-ng, j0, ghost);
+        if (r.kind == BcKind::kDirichlet) {
+          std::fill_n(dst, span, static_cast<T>(r.dirichlet_cons[c]));
+          continue;
         }
-        continue;
-      }
-
-      if (axis == 0 && kind != BcKind::kInflowPatches) {
-        // Ghost columns: one element per (j, k) row.
-        for (int c = 0; c < kNumVars; ++c) {
-          const bool negate =
-              (kind == BcKind::kReflective) && c == nm;
-          for (int k = 0; k < n[2]; ++k) {
-            for (int j = 0; j < n[1]; ++j) {
-              T* row = q[c].row(j, k);
-              row[ghost] = negate
-                               ? static_cast<T>(-static_cast<double>(
-                                     row[src_plain]))
-                               : row[src_plain];
-            }
-          }
-        }
-        continue;
-      }
-
-      if (axis == 1 && kind != BcKind::kInflowPatches) {
-        // Ghost rows: contiguous spans of the extended x extent per k.
-        const std::size_t len = static_cast<std::size_t>(hi[0] - lo[0]);
-        for (int c = 0; c < kNumVars; ++c) {
-          for (int k = 0; k < n[2]; ++k) {
-            T* dst = &q[c](lo[0], ghost, k);
-            const T* src = &q[c](lo[0], src_plain, k);
-            if (kind == BcKind::kReflective && c == nm) {
-              for (std::size_t i = 0; i < len; ++i)
-                dst[i] = static_cast<T>(-static_cast<double>(src[i]));
-            } else {
-              std::memcpy(dst, src, len * sizeof(T));
-            }
-          }
-        }
-        continue;
-      }
-
-      if (axis == 2 && kind != BcKind::kInflowPatches) {
-        // Whole ghost planes: the extended (x, y) extent is contiguous.
-        const std::size_t len =
-            static_cast<std::size_t>(hi[0] - lo[0]) *
-            static_cast<std::size_t>(hi[1] - lo[1]);
-        for (int c = 0; c < kNumVars; ++c) {
-          T* dst = &q[c](lo[0], lo[1], ghost);
-          const T* src = &q[c](lo[0], lo[1], src_plain);
-          if (kind == BcKind::kReflective && c == nm) {
-            for (std::size_t i = 0; i < len; ++i)
-              dst[i] = static_cast<T>(-static_cast<double>(src[i]));
-          } else {
-            std::memcpy(dst, src, len * sizeof(T));
-          }
-        }
-        continue;
-      }
-
-      // Inflow patches (the per-cell decision path).
-      for (int k = (axis == 2) ? ghost : lo[2];
-           k < ((axis == 2) ? ghost + 1 : hi[2]); ++k) {
-        for (int j = (axis == 1) ? ghost : lo[1];
-             j < ((axis == 1) ? ghost + 1 : hi[1]); ++j) {
-          for (int i = (axis == 0) ? ghost : lo[0];
-               i < ((axis == 0) ? ghost + 1 : hi[0]); ++i) {
-            double t1 = 0, t2 = 0;
-            if (axis == 0) { t1 = grid.y(j); t2 = grid.z(k); }
-            if (axis == 1) { t1 = grid.x(i); t2 = grid.z(k); }
-            if (axis == 2) { t1 = grid.x(i); t2 = grid.y(j); }
-            const int p = find_patch(patches, t1, t2);
-            if (p >= 0) {
-              const auto& qc = patch_cons[static_cast<std::size_t>(p)];
-              for (int c = 0; c < kNumVars; ++c)
-                q[c](i, j, k) = static_cast<T>(qc[c]);
-            } else {
-              // Base plate between nozzles: reflective wall.
-              int src[3] = {i, j, k};
-              src[axis] = mirror;
-              for (int c = 0; c < kNumVars; ++c)
-                q[c](i, j, k) = q[c](src[0], src[1], src[2]);
-              q[nm](i, j, k) = static_cast<T>(
-                  -static_cast<double>(q[nm](src[0], src[1], src[2])));
-            }
-          }
-        }
+        copy_span(dst, &q[c](-ng, j0, source_index(r.kind, side, g, nz)),
+                  span, r.kind == BcKind::kReflective && c == nm);
       }
     }
   }
@@ -209,21 +270,48 @@ void fill_axis(common::StateField3<T>& q, const BcSpec& spec,
 
 template <class T>
 void apply_bc(common::StateField3<T>& q, const BcSpec& spec,
+              const mesh::Grid& grid, const eos::IdealGas& eos,
+              const common::ExecSpace::Team& team) {
+  const FaceRules rules = resolve_rules(spec, eos);
+  const std::array<bool, 2> both{true, true};
+  long b, e;
+  // x: the member's interior rows.  y: its share of the interior planes —
+  // their ghost rows copy rows (and x ghosts) other members filled.  z: its
+  // rows of the ghost planes, y-ghost rows on the edge members — the
+  // partition the caller's later per-row passes (the Sigma pipeline) use.
+  team.chunk(q.ny(), b, e);
+  fill_x(q, rules, grid, both, static_cast<int>(b), static_cast<int>(e));
+  team.barrier();
+  team.chunk(q.nz(), b, e);
+  fill_y(q, rules, grid, both, static_cast<int>(b), static_cast<int>(e));
+  team.barrier();
+  team.chunk_with_halo(q.ny(), q.ng(), b, e);
+  fill_z(q, rules, grid, both, static_cast<int>(b), static_cast<int>(e));
+}
+
+template <class T>
+void apply_bc(common::StateField3<T>& q, const BcSpec& spec,
               const mesh::Grid& grid, const eos::IdealGas& eos) {
-  for (int axis = 0; axis < 3; ++axis)
-    fill_axis(q, spec, grid, eos, axis, {true, true});
+  common::ExecSpace::serial().run_team(
+      [&](const common::ExecSpace::Team& t) { apply_bc(q, spec, grid, eos, t); });
 }
 
 template <class T>
 void apply_bc_axis(common::StateField3<T>& q, const BcSpec& spec,
                    const mesh::Grid& grid, const eos::IdealGas& eos, int axis,
                    std::array<bool, 2> sides) {
-  fill_axis(q, spec, grid, eos, axis, sides);
+  const FaceRules rules = resolve_rules(spec, eos);
+  if (axis == 0) fill_x(q, rules, grid, sides, 0, q.ny());
+  if (axis == 1) fill_y(q, rules, grid, sides, 0, q.nz());
+  if (axis == 2) fill_z(q, rules, grid, sides, -q.ng(), q.ny() + q.ng());
 }
 
 #define IGR_INSTANTIATE_BC(T)                                                  \
   template void apply_bc<T>(common::StateField3<T>&, const BcSpec&,           \
                             const mesh::Grid&, const eos::IdealGas&);          \
+  template void apply_bc<T>(common::StateField3<T>&, const BcSpec&,           \
+                            const mesh::Grid&, const eos::IdealGas&,           \
+                            const common::ExecSpace::Team&);                   \
   template void apply_bc_axis<T>(common::StateField3<T>&, const BcSpec&,      \
                                  const mesh::Grid&, const eos::IdealGas&, int, \
                                  std::array<bool, 2>);

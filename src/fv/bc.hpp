@@ -14,6 +14,7 @@
 #include <array>
 #include <vector>
 
+#include "common/exec.hpp"
 #include "common/field3.hpp"
 #include "common/state.hpp"
 #include "eos/ideal_gas.hpp"
@@ -80,6 +81,17 @@ struct BcSpec {
 template <class T>
 void apply_bc(common::StateField3<T>& q, const BcSpec& spec,
               const mesh::Grid& grid, const eos::IdealGas& eos);
+
+/// The same fill run by one member of a team (all members must call it):
+/// x ghosts of the member's rows (Team::chunk over y), barrier, y ghosts of
+/// its planes (chunk over z), barrier, then its rows of the z ghost planes
+/// (Team::chunk_with_halo over y).  Bitwise-identical to apply_bc at every
+/// team width.  Returns without a trailing barrier: a member's z-ghost rows
+/// are complete for it, other members' rows are not.
+template <class T>
+void apply_bc(common::StateField3<T>& q, const BcSpec& spec,
+              const mesh::Grid& grid, const eos::IdealGas& eos,
+              const common::ExecSpace::Team& team);
 
 /// Fill the ghost layers of one axis only, optionally restricted to one
 /// side (`sides[0]` = low face, `sides[1]` = high face).  Distributed

@@ -106,9 +106,10 @@ class DistributedIgr {
       for (int r = 0; r < comm_.ranks(); ++r) local_ranks_.push_back(r);
     }
     // threads_per_rank becomes each rank solver's exec-space width.  0
-    // (divide evenly) stays ambient: the worker threads pin the OpenMP
-    // width to hw/ranks, and non-OpenMP builds fall back to serial, which
-    // keeps rank parallelism as the only concurrency in that case.
+    // stays ambient: the worker threads pin the OpenMP width to the
+    // resolved share (resolve_threads_per_rank), and non-OpenMP builds fall
+    // back to serial, which keeps rank parallelism as the only concurrency
+    // in that case.
     common::SolverConfig rank_cfg = cfg;
     if (opts_.threads_per_rank > 0)
       rank_cfg.exec_threads = opts_.threads_per_rank;

@@ -1,6 +1,7 @@
 #include "sim/rank_team.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <stdexcept>
 
 #ifdef _OPENMP
@@ -9,19 +10,33 @@
 
 namespace igr::sim {
 
+int ambient_thread_budget() {
+  const char* env = std::getenv("OMP_NUM_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  const long v = std::strtol(env, nullptr, 10);
+  return v > 0 && v <= 4096 ? static_cast<int>(v) : 0;
+#endif
+}
+
+int resolve_threads_per_rank(int requested, int ranks, int share_ranks,
+                             int budget, unsigned hardware) {
+  if (requested > 0) return requested;
+  const int sharers = std::max({1, ranks, share_ranks});
+  if (budget > 0) return std::max(1, budget / sharers);
+  return std::max(1, static_cast<int>(std::max(1u, hardware)) / sharers);
+}
+
 RankTeam::RankTeam(int ranks, int threads_per_rank, int hardware_share_ranks)
     : ranks_(ranks) {
   if (ranks < 1) throw std::invalid_argument("RankTeam: ranks must be >= 1");
   if (threads_per_rank < 0)
     throw std::invalid_argument("RankTeam: threads_per_rank must be >= 0");
-  if (hardware_share_ranks < ranks) hardware_share_ranks = ranks;
-  if (threads_per_rank == 0) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    threads_per_rank_ =
-        std::max(1, static_cast<int>(hw) / hardware_share_ranks);
-  } else {
-    threads_per_rank_ = threads_per_rank;
-  }
+  threads_per_rank_ = resolve_threads_per_rank(
+      threads_per_rank, ranks, hardware_share_ranks, ambient_thread_budget(),
+      std::thread::hardware_concurrency());
   workers_.reserve(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
     workers_.emplace_back([this, r] { worker_main(r); });

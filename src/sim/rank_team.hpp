@@ -11,8 +11,8 @@
 /// overlap communication with computation.
 ///
 /// Workers pin their OpenMP team size on startup so R ranks x T threads
-/// never oversubscribe the machine (scaling benches run T = 1 to measure
-/// rank parallelism alone).
+/// stay within the process's thread budget (scaling benches run T = 1 to
+/// measure rank parallelism alone); resolve_threads_per_rank is the rule.
 
 #include <condition_variable>
 #include <cstdint>
@@ -24,10 +24,27 @@
 
 namespace igr::sim {
 
+/// The thread budget the process was given, 0 if none: with OMP_NUM_THREADS
+/// set, the calling thread's OpenMP team size (which includes any later
+/// omp_set_num_threads), or the variable's leading value in a build
+/// without an OpenMP runtime.
+[[nodiscard]] int ambient_thread_budget();
+
+/// Per-rank exec width, resolved in this order: `requested` when > 0; else
+/// the process's ambient `budget` (> 0); else the `hardware` threads.  The
+/// budget or hardware is split across the ranks sharing it: the process's
+/// `ranks`, or the `share_ranks` co-resident on the machine when more (the
+/// processes of a multi-process team inherit one launcher's environment).
+/// Never below 1.
+[[nodiscard]] int resolve_threads_per_rank(int requested, int ranks,
+                                           int share_ranks, int budget,
+                                           unsigned hardware);
+
 class RankTeam {
  public:
   /// Spawn `ranks` workers.  `threads_per_rank` caps each worker's OpenMP
-  /// team; 0 divides the hardware evenly (at least 1).
+  /// team; 0 resolves it by resolve_threads_per_rank: the process's ambient
+  /// budget split across the ranks, else the hardware divided evenly.
   /// `hardware_share_ranks` is the number of ranks sharing this machine for
   /// that division — a multi-process team runs one local rank but must
   /// still split the cores across the whole team (0: same as `ranks`, the

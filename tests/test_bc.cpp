@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
+#include "common/exec.hpp"
 #include "common/half.hpp"
 #include "eos/ideal_gas.hpp"
 #include "fv/bc.hpp"
@@ -213,6 +217,146 @@ TEST(Bc, FloatAndHalfInstantiations) {
   apply_bc(qh, BcSpec::all_periodic(), g, eos);
   EXPECT_EQ(qf[kRho](-1, 0, 0), 1.5f);
   EXPECT_EQ(float(qh[kRho](-1, 0, 0)), 1.5f);
+}
+
+/// The straightforward per-cell fill — axes x, y, z in turn, low side then
+/// high, layers ascending, tangential extents widened over the axes already
+/// filled — whose values every apply_bc form must reproduce bit for bit.
+void reference_bc(StateField3<double>& q, const BcSpec& spec, const Grid& g,
+                  const IdealGas& eos) {
+  const int ng = q.ng();
+  const int n[3] = {q.nx(), q.ny(), q.nz()};
+  for (int axis = 0; axis < 3; ++axis) {
+    int lo[3], hi[3];
+    for (int a = 0; a < 3; ++a) {
+      lo[a] = a < axis ? -ng : 0;
+      hi[a] = a < axis ? n[a] + ng : n[a];
+    }
+    const int nm = kMomX + axis;
+    for (int side = 0; side < 2; ++side) {
+      const auto f = static_cast<std::size_t>(2 * axis + side);
+      BcKind kind = spec.kind[f];
+      if (kind == BcKind::kDirichlet && !spec.dirichlet_set[f])
+        kind = BcKind::kOutflow;
+      for (int gl = 1; gl <= ng; ++gl) {
+        const int ghost = side == 0 ? -gl : n[axis] + gl - 1;
+        const int mirror = side == 0 ? gl - 1 : n[axis] - gl;
+        const int src = kind == BcKind::kPeriodic
+                            ? (side == 0 ? n[axis] - gl : gl - 1)
+                        : kind == BcKind::kOutflow ? (side == 0 ? 0 : n[axis] - 1)
+                                                   : mirror;
+        int r0[3] = {lo[0], lo[1], lo[2]}, r1[3] = {hi[0], hi[1], hi[2]};
+        r0[axis] = ghost;
+        r1[axis] = ghost + 1;
+        for (int k = r0[2]; k < r1[2]; ++k)
+          for (int j = r0[1]; j < r1[1]; ++j)
+            for (int i = r0[0]; i < r1[0]; ++i) {
+              int s3[3] = {i, j, k};
+              if (kind == BcKind::kDirichlet) {
+                const auto qc = eos.to_cons(spec.dirichlet[f]);
+                for (int c = 0; c < kNumVars; ++c) q[c](i, j, k) = qc[c];
+                continue;
+              }
+              if (kind == BcKind::kInflowPatches) {
+                const double x[3] = {g.x(i), g.y(j), g.z(k)};
+                const double t1 = x[axis == 0 ? 1 : 0];
+                const double t2 = x[axis == 2 ? 1 : 2];
+                int hit = -1;
+                for (std::size_t p = 0; p < spec.patches[f].size() && hit < 0;
+                     ++p) {
+                  const auto& pt = spec.patches[f][p];
+                  const double d1 = t1 - pt.cx, d2 = t2 - pt.cy;
+                  if (d1 * d1 + d2 * d2 <= pt.radius * pt.radius)
+                    hit = static_cast<int>(p);
+                }
+                if (hit >= 0) {
+                  const auto qc = eos.to_cons(
+                      spec.patches[f][static_cast<std::size_t>(hit)].state);
+                  for (int c = 0; c < kNumVars; ++c) q[c](i, j, k) = qc[c];
+                  continue;
+                }
+                s3[axis] = mirror;
+                for (int c = 0; c < kNumVars; ++c)
+                  q[c](i, j, k) = q[c](s3[0], s3[1], s3[2]);
+                q[nm](i, j, k) = -q[nm](s3[0], s3[1], s3[2]);
+                continue;
+              }
+              s3[axis] = src;
+              for (int c = 0; c < kNumVars; ++c) {
+                const double v = q[c](s3[0], s3[1], s3[2]);
+                q[c](i, j, k) =
+                    (kind == BcKind::kReflective && c == nm) ? -v : v;
+              }
+            }
+      }
+    }
+  }
+}
+
+StateField3<double> make_shaped(int nx, int ny, int nz) {
+  StateField3<double> q(nx, ny, nz, 3);
+  for (int c = 0; c < kNumVars; ++c)
+    for (int k = -3; k < nz + 3; ++k)
+      for (int j = -3; j < ny + 3; ++j)
+        for (int i = -3; i < nx + 3; ++i)
+          q[c](i, j, k) = 1000.0 * c + 100.0 * i + 10.0 * j + k + 0.5;
+  return q;
+}
+
+TEST(Bc, EveryFormMatchesThePerCellFillAtEveryTeamWidth) {
+  // Mixed kinds on every axis, patch faces on x, y and z, shapes down to
+  // fewer cells than ghost layers (periodic wraps and mirrors then source
+  // ghosts of earlier layers), team widths that leave members idle.
+  BcSpec mixed = BcSpec::all_outflow();
+  mixed.kind[static_cast<std::size_t>(Face::kXLo)] = BcKind::kReflective;
+  mixed.kind[static_cast<std::size_t>(Face::kXHi)] = BcKind::kInflowPatches;
+  mixed.patches[static_cast<std::size_t>(Face::kXHi)] = {
+      InflowPatch{0.3, 0.3, 0.25, {1.0, -2.0, 0.0, 0.0, 5.0}}};
+  mixed.kind[static_cast<std::size_t>(Face::kYLo)] = BcKind::kPeriodic;
+  mixed.kind[static_cast<std::size_t>(Face::kYHi)] = BcKind::kPeriodic;
+  mixed.set_dirichlet(Face::kZHi, {0.5, 0.0, 0.0, -1.0, 1.0});
+  mixed.kind[static_cast<std::size_t>(Face::kZLo)] = BcKind::kInflowPatches;
+  mixed.patches[static_cast<std::size_t>(Face::kZLo)] = {
+      InflowPatch{0.5, 0.5, 0.2, {2.0, 0.0, 0.0, 3.0, 4.0}}};
+  BcSpec walls = BcSpec::all_outflow();
+  for (auto& k : walls.kind) k = BcKind::kReflective;
+  walls.kind[static_cast<std::size_t>(Face::kYHi)] = BcKind::kInflowPatches;
+  walls.patches[static_cast<std::size_t>(Face::kYHi)] = {
+      InflowPatch{0.4, 0.6, 0.3, {1.5, 0.0, -1.0, 0.0, 2.0}}};
+  walls.kind[static_cast<std::size_t>(Face::kZHi)] = BcKind::kDirichlet;
+  const BcSpec specs[] = {BcSpec::all_periodic(), BcSpec::all_outflow(),
+                          mixed, walls};
+  const std::array<int, 3> shapes[] = {{8, 8, 8}, {5, 7, 4}, {2, 3, 1},
+                                       {1, 2, 5}};
+  IdealGas eos(1.4);
+  for (const auto& sh : shapes) {
+    const Grid g(sh[0], sh[1], sh[2], {0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0});
+    for (std::size_t si = 0; si < std::size(specs); ++si) {
+      auto ref = make_shaped(sh[0], sh[1], sh[2]);
+      reference_bc(ref, specs[si], g, eos);
+      auto serial = make_shaped(sh[0], sh[1], sh[2]);
+      apply_bc(serial, specs[si], g, eos);
+      for (int width : {0, 1, 2, 3, 4}) {
+        auto q = make_shaped(sh[0], sh[1], sh[2]);
+        auto* target = width == 0 ? &serial : &q;
+        if (width > 0) {
+          const igr::common::ExecSpace exec(igr::common::ExecBackend::kOpenMP,
+                                            width);
+          exec.run_team([&](const igr::common::ExecSpace::Team& t) {
+            apply_bc(q, specs[si], g, eos, t);
+          });
+        }
+        for (int c = 0; c < kNumVars; ++c)
+          for (int k = -3; k < sh[2] + 3; ++k)
+            for (int j = -3; j < sh[1] + 3; ++j)
+              for (int i = -3; i < sh[0] + 3; ++i)
+                ASSERT_EQ((*target)[c](i, j, k), ref[c](i, j, k))
+                    << "spec " << si << " shape " << sh[0] << "x" << sh[1]
+                    << "x" << sh[2] << " width " << width << " c=" << c
+                    << " @ " << i << "," << j << "," << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
+#include "common/hash.hpp"
 #include "core/igr_solver3d.hpp"
 #include "io/checkpoint.hpp"
 
@@ -27,6 +30,69 @@ StateField3<T> make_state(int n) {
           q[c](i, j, k) = static_cast<T>(
               0.1 * c + std::sin(0.3 * i) * std::cos(0.2 * j) + 0.01 * k);
   return q;
+}
+
+// --- CRC32 (the v2 payload checksum) --------------------------------------
+
+/// The definition: reflected IEEE polynomial, one bit at a time.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(igr::common::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(igr::common::crc32("", 0), 0u);
+  // 1 MiB pattern; the value is zlib.crc32 of the same bytes.
+  std::vector<unsigned char> big(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<unsigned char>(((i * 131 + 7) >> 3) & 0xFF);
+  EXPECT_EQ(igr::common::crc32(big.data(), big.size()), 0x7B848A1Au);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buf(4096 + 16);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<unsigned char>(x);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len < 80; ++len) {
+      ASSERT_EQ(igr::common::crc32(buf.data() + off, len),
+                crc32_bitwise(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  for (int trial = 0; trial < 64; ++trial) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const std::size_t off = x % 16;
+    const std::size_t len = (x >> 8) % 4096;
+    ASSERT_EQ(igr::common::crc32(buf.data() + off, len),
+              crc32_bitwise(buf.data() + off, len))
+        << "offset " << off << " length " << len;
+  }
+}
+
+TEST(Crc32, StreamingSplitsAnywhere) {
+  std::vector<unsigned char> buf(257);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<unsigned char>(i * 37 + 1);
+  const std::uint32_t whole = igr::common::crc32(buf.data(), buf.size());
+  for (std::size_t cut = 0; cut <= buf.size(); cut += 3) {
+    igr::common::Crc32 c;
+    c.update(buf.data(), cut);
+    c.update(buf.data() + cut, buf.size() - cut);
+    ASSERT_EQ(c.value(), whole) << "cut " << cut;
+  }
 }
 
 template <class T>

@@ -6,9 +6,13 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
+#include "cases/runner.hpp"
 #include "core/igr_solver3d.hpp"
 #include "sim/distributed_igr.hpp"
+#include "sim/rank_team.hpp"
 
 namespace {
 
@@ -420,6 +424,47 @@ TEST(Distributed, TraffiqueMeteredDuringStep) {
   dist.init(smooth_ic());
   dist.step_fixed(1e-3);
   EXPECT_GT(dist.comm().bytes_exchanged(), 0u);
+}
+
+TEST(RankTeamWidth, RequestThenAmbientBudgetThenHardwareShare) {
+  using igr::sim::resolve_threads_per_rank;
+  // An explicit request wins over everything.
+  EXPECT_EQ(resolve_threads_per_rank(3, 4, 4, 1, 8), 3);
+  // No request: the process's ambient budget, split across the ranks
+  // sharing it (a TCP rank process shares its launcher's budget).
+  EXPECT_EQ(resolve_threads_per_rank(0, 4, 4, 1, 8), 1);
+  EXPECT_EQ(resolve_threads_per_rank(0, 2, 2, 4, 8), 2);
+  EXPECT_EQ(resolve_threads_per_rank(0, 1, 2, 4, 8), 2);  // a TCP rank
+  EXPECT_EQ(resolve_threads_per_rank(0, 1, 1, 3, 8), 3);  // single domain
+  // No budget either: the hardware share of the co-resident ranks.
+  EXPECT_EQ(resolve_threads_per_rank(0, 2, 2, 0, 8), 4);
+  EXPECT_EQ(resolve_threads_per_rank(0, 1, 4, 0, 8), 2);
+  EXPECT_EQ(resolve_threads_per_rank(0, 8, 8, 0, 4), 1);  // never below 1
+  EXPECT_EQ(resolve_threads_per_rank(0, 3, 3, 0, 0), 1);  // unknown hardware
+}
+
+TEST(RankTeamWidth, WorkersFollowTheResolvedWidth) {
+  const igr::sim::RankTeam team(2, 0);
+  EXPECT_EQ(team.threads_per_rank(),
+            igr::sim::resolve_threads_per_rank(
+                0, 2, 2, igr::sim::ambient_thread_budget(),
+                std::thread::hardware_concurrency()));
+  const igr::sim::RankTeam pinned(2, 3);
+  EXPECT_EQ(pinned.threads_per_rank(), 3);
+}
+
+TEST(RankTeamWidth, OversubscriptionWarnsOnlyPastTheHardware) {
+  igr::cases::RunOptions o;
+  o.ranks = {2, 2, 1};
+  o.threads = 2;
+  EXPECT_NE(igr::cases::oversubscription_warning(o, 4).find("8 compute"),
+            std::string::npos);
+  EXPECT_TRUE(igr::cases::oversubscription_warning(o, 8).empty());
+  o.threads = 1;
+  EXPECT_TRUE(igr::cases::oversubscription_warning(o, 4).empty());
+  o.threads = 2;
+  o.exec = igr::common::ExecBackend::kSerial;  // one thread per rank
+  EXPECT_TRUE(igr::cases::oversubscription_warning(o, 4).empty());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 /// The exec-space contract: every backend and every team width produces the
 /// same bits.  Covers the ExecSpace primitive itself (partition coverage,
-/// team launch, barrier phase ordering), then the solver-level guarantees —
+/// team launch, barrier phase ordering and metering, neighbour progress
+/// counters), then the solver-level guarantees — pinned fingerprints of the
+/// stage team (BC fill + Sigma wavefront in one launch) at widths 1/2/3,
 /// Serial vs OpenMP bitwise on state fingerprints AND per-step dt for both
 /// Sigma sweep paths (plane wavefront and periodic-z phased passes) and
 /// every storage precision, thread-count invariance at
@@ -17,6 +19,7 @@
 
 #include "cases/runner.hpp"
 #include "common/exec.hpp"
+#include "common/telemetry.hpp"
 
 namespace {
 
@@ -26,7 +29,9 @@ using igr::common::Fp16x32;
 using igr::common::Fp32;
 using igr::common::Fp64;
 using igr::common::kNumVars;
+using igr::common::NeighbourProgress;
 namespace cases = igr::cases;
+namespace telemetry = igr::common::telemetry;
 
 // --- The primitive ------------------------------------------------------
 
@@ -103,6 +108,91 @@ TEST(ExecSpaceUnit, BarrierOrdersPhasesAcrossTheTeam) {
           violations.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(violations.load(), 0) << "width " << width;
+  }
+}
+
+TEST(ExecSpaceUnit, ChunkWithHaloHandsGhostsToTheEdgeMembers) {
+  // [-3, n + 3) is covered exactly once, and every interior index keeps
+  // its chunk(n) owner (n < width leaves trailing members empty).
+  for (long n : {1L, 2L, 5L, 16L}) {
+    for (int width : {1, 2, 3, 4}) {
+      const ExecSpace exec(ExecBackend::kOpenMP, width);
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n + 6));
+      std::atomic<int> moved{0};
+      exec.run_team([&](const ExecSpace::Team& t) {
+        long b, e, cb, ce;
+        t.chunk_with_halo(n, 3, b, e);
+        t.chunk(n, cb, ce);
+        for (long i = b; i < e; ++i) {
+          hits[static_cast<std::size_t>(i + 3)].fetch_add(1);
+          if (i >= 0 && i < n && (i < cb || i >= ce)) moved.fetch_add(1);
+        }
+      });
+      for (const auto& h : hits)
+        EXPECT_EQ(h.load(), 1) << "n=" << n << " width=" << width;
+      EXPECT_EQ(moved.load(), 0) << "n=" << n << " width=" << width;
+    }
+  }
+}
+
+TEST(ExecSpaceUnit, BarrierIsFreeForOneMemberAndMeteredOtherwise) {
+  telemetry::set_enabled(true);
+  telemetry::reset_metrics();
+  auto& m0 = telemetry::barrier_wait(0);
+  // A one-member team returns before the meter: nothing to wait for.
+  ExecSpace(ExecBackend::kOpenMP, 1).run_team([](const ExecSpace::Team& t) {
+    for (int i = 0; i < 8; ++i) t.barrier();
+  });
+  EXPECT_EQ(m0.count(), 0u);
+  int members = 0;
+  ExecSpace(ExecBackend::kOpenMP, 2).run_team([&](const ExecSpace::Team& t) {
+    if (t.tid() == 0) members = t.size();
+    for (int i = 0; i < 8; ++i) t.barrier();
+  });
+  if (members == 2) {
+    EXPECT_EQ(m0.count(), 8u);
+    EXPECT_EQ(telemetry::barrier_wait(1).count(), 8u);
+  }
+  telemetry::set_enabled(false);
+  ExecSpace(ExecBackend::kOpenMP, 2).run_team([](const ExecSpace::Team& t) {
+    t.barrier();
+  });
+  EXPECT_EQ(m0.count(), members == 2 ? 8u : 0u) << "metered while disabled";
+  telemetry::reset_metrics();
+}
+
+TEST(ExecSpaceUnit, NeighbourProgressOrdersAStencilPipeline) {
+  // A double-buffered 3-point smoother over [0, n), each member on its
+  // chunk, ordered only by waiting for the neighbours' previous step —
+  // the pattern of the Sigma wavefront.  Must equal the serial result (and
+  // be race-free: the TSan tree runs this on std::thread teams).
+  const long n = 37;
+  const int steps = 25;
+  auto run = [&](const ExecSpace& exec) {
+    std::vector<double> buf[2] = {std::vector<double>(n + 2, 0.0),
+                                  std::vector<double>(n + 2, 0.0)};
+    for (long i = 0; i < n + 2; ++i) buf[0][static_cast<std::size_t>(i)] = i % 5;
+    NeighbourProgress progress(exec.max_team_size());
+    exec.run_team([&](const ExecSpace::Team& t) {
+      long b, e;
+      t.chunk(n, b, e);
+      for (int s = 1; s <= steps; ++s) {
+        progress.wait_neighbours(t, n, s - 1);
+        const auto& in = buf[(s - 1) % 2];
+        auto& out = buf[s % 2];
+        for (long i = b; i < e; ++i) {
+          const auto c = static_cast<std::size_t>(i + 1);
+          out[c] = 0.25 * in[c - 1] + 0.5 * in[c] + 0.25 * in[c + 1];
+        }
+        progress.post(t, s);
+      }
+    });
+    return buf[steps % 2];
+  };
+  const auto ref = run(ExecSpace::serial());
+  for (int width : {2, 3, 4}) {
+    EXPECT_EQ(run(ExecSpace(ExecBackend::kOpenMP, width)), ref)
+        << "width " << width;
   }
 }
 
@@ -200,6 +290,74 @@ TEST(ExecSpaceBitwise, PeriodicPhasedSweepsSerialMatchesThreads) {
   wide.exec = ExecBackend::kOpenMP;
   wide.threads = 2;
   expect_bitwise_equal<Fp64>(*spec, serial, wide, "taylor-green phased sweeps");
+}
+
+/// The stage team: every RK stage runs the BC fill and the whole fused
+/// Sigma pipeline in one launch, each member on a fixed range of rows and
+/// ordered by neighbour progress counters (team barriers when Sigma wraps
+/// in y).  Its fingerprints are pinned — not merely compared across widths
+/// — at widths 1, 2 and 3; width 3 splits the rows unevenly (16 = 6+5+5).
+/// jet-single covers inflow/outflow BCs and the Neumann wavefront (FP64,
+/// FP16/32 batched lanes, Jacobi); sod-z the y-wrapped wavefront; sod-x the
+/// phased branch (periodic z) behind the team BC fill.  The fp64 red–black
+/// values are the CaseGolden table's; the FP16/32 and Jacobi ones were
+/// recorded with the per-plane-team schedule this one replaced (re-record:
+/// `run_case --case jet-single --n 16 --steps 8 [--precision fp16x32 |
+/// --jacobi]`).
+template <class Policy>
+void expect_stage_team_pins(const char* name, bool jacobi, std::uint64_t fnv,
+                            std::uint64_t dt_fnv) {
+  const auto* spec = cases::find(name);
+  ASSERT_NE(spec, nullptr);
+  for (int width : {1, 2, 3}) {
+    SCOPED_TRACE(std::string(name) + (jacobi ? " jacobi" : "") + " width " +
+                 std::to_string(width));
+    cases::RunOptions o = cases::golden_options(*spec);
+    o.exec = ExecBackend::kOpenMP;
+    o.threads = width;
+    o.jacobi_sweeps = jacobi;
+    const auto r = cases::run_case<Policy>(*spec, o);
+    EXPECT_EQ(r.state_fnv, fnv) << std::hex << "state 0x" << r.state_fnv;
+    EXPECT_EQ(r.dt_fnv, dt_fnv) << std::hex << "dt 0x" << r.dt_fnv;
+  }
+}
+
+TEST(ExecSpaceStageTeam, JetFp64PinnedAtWidthsOneTwoThree) {
+  expect_stage_team_pins<Fp64>("jet-single", false, 0x709213cc98a6a1e8ull,
+                               0xfec462599a1a3186ull);
+}
+TEST(ExecSpaceStageTeam, JetFp16PinnedAtWidthsOneTwoThree) {
+  expect_stage_team_pins<Fp16x32>("jet-single", false, 0x24f71375cbcaf644ull,
+                                  0x8c2046eeffcbc609ull);
+}
+TEST(ExecSpaceStageTeam, JetJacobiPinnedAtWidthsOneTwoThree) {
+  expect_stage_team_pins<Fp64>("jet-single", true, 0x4ec697517c04116aull,
+                               0x0309696cb2f3e0b9ull);
+}
+TEST(ExecSpaceStageTeam, SodZWrappedYPinnedAtWidthsOneTwoThree) {
+  expect_stage_team_pins<Fp64>("sod-z", false, 0x64d99e1c63b9f210ull,
+                               0xa91f285bdc2fe220ull);
+}
+TEST(ExecSpaceStageTeam, SodZWrappedYJacobiAndFp16MatchSerial) {
+  // The y-wrapped wavefront's other kernels (Jacobi buffers, FP16/32 row
+  // cache), against the serial schedule at the uneven and even widths.
+  const auto* spec = cases::find("sod-z");
+  ASSERT_NE(spec, nullptr);
+  for (int width : {2, 3}) {
+    cases::RunOptions serial = cases::golden_options(*spec);
+    serial.exec = ExecBackend::kSerial;
+    cases::RunOptions wide = serial;
+    wide.exec = ExecBackend::kOpenMP;
+    wide.threads = width;
+    expect_bitwise_equal<Fp16x32>(*spec, serial, wide, "sod-z fp16x32");
+    serial.jacobi_sweeps = wide.jacobi_sweeps = true;
+    expect_bitwise_equal<Fp64>(*spec, serial, wide, "sod-z jacobi");
+  }
+}
+
+TEST(ExecSpaceStageTeam, SodXPhasedPinnedAtWidthsOneTwoThree) {
+  expect_stage_team_pins<Fp64>("sod-x", false, 0x1d91a79a50229f98ull,
+                               0x0a6caab339577c5aull);
 }
 
 TEST(ExecSpaceDistributed, PerRankTeamsBitwiseEqualSerialSingleDomain) {
