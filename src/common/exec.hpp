@@ -5,13 +5,13 @@
 ///
 /// Every parallel kernel in the solver is either a pure per-element map
 /// with disjoint writes, or a parity-phased in-place update whose phases
-/// are ordered by a barrier (the full-field red–black k-parity passes) or
-/// by neighbour progress counters (the plane wavefront, whose members read
-/// only the other parity of their neighbours' rows), and every reduction is
-/// an exact max/min — so neither the team width nor the partition of work
-/// across it can change a single bit of the result.  That invariance is what lets one kernel body target
-/// every backend here and stay bitwise-identical across them
-/// (test-enforced: Serial vs OpenMP vs 1/2/4-thread teams, state and dt).
+/// are barrier-ordered (the full-field red–black k-parity passes, the
+/// fronts of the plane wavefront), and every reduction is an exact
+/// max/min — so neither the team width nor the partition of work across it
+/// can change a single bit of the result.  That invariance is what lets one
+/// kernel body target every backend here and stay bitwise-identical across
+/// them (test-enforced: Serial vs OpenMP vs 1/2/4-thread teams, state and
+/// dt).
 ///
 /// Backends:
 ///   - kSerial: a one-member team on the calling thread.  The reference
@@ -32,16 +32,14 @@
 /// and their own per-member scratch, never a #pragma.
 ///
 /// Waits are metered: with telemetry on, every member's time blocked in
-/// Team::barrier or NeighbourProgress::wait goes to its own
-/// `exec.barrier_wait.m<tid>` histogram (telemetry::barrier_wait).  Off,
-/// the meter is one relaxed load and touches nothing else.
+/// Team::barrier goes to its own `exec.barrier_wait.m<tid>` histogram
+/// (telemetry::barrier_wait).  Off, the meter is one relaxed load and
+/// touches nothing else.
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -128,17 +126,6 @@ class ExecSpace {
   /// Requested team width; 0 = ambient (the configured OpenMP team size
   /// under an OpenMP runtime, one member otherwise).
   [[nodiscard]] constexpr int threads() const { return threads_; }
-
-  /// Upper bound on the member count of a run_team launch from this
-  /// thread — the size for per-member arrays allocated outside the team.
-  [[nodiscard]] int max_team_size() const {
-    if (backend_ == ExecBackend::kSerial) return 1;
-#ifdef _OPENMP
-    return threads_ > 0 ? threads_ : omp_get_max_threads();
-#else
-    return threads_ > 1 ? threads_ : 1;
-#endif
-  }
 
   /// Launch one team over `body(const Team&)`.  Each member runs the whole
   /// body; the body partitions work via Team::chunk (or runs per-member
@@ -237,57 +224,6 @@ class ExecSpace {
 
   ExecBackend backend_ = ExecBackend::kOpenMP;
   int threads_ = 0;
-};
-
-/// Point-to-point ordering for a team whose members own contiguous chunks
-/// of an index range (ExecSpace::Team::chunk) and, per step, read only the
-/// entries next to their own chunk: member m waits for the two members
-/// owning the neighbouring chunks instead of the whole team.  Each member
-/// posts its count of completed steps (release); a waiter acquires its
-/// neighbours' counts — the posted-epoch pattern of sim::Transport's halo
-/// slots, with a member for a rank.  Neighbours therefore never drift more
-/// than one step apart, which is all a nearest-neighbour stencil needs.
-class NeighbourProgress {
- public:
-  explicit NeighbourProgress(int members)
-      : slots_(std::make_unique<Slot[]>(
-            static_cast<std::size_t>(std::max(members, 1)))) {}
-
-  /// Publish that this member has completed `steps` steps.
-  void post(const ExecSpace::Team& t, long steps) {
-    slots_[static_cast<std::size_t>(t.tid())].v.store(
-        steps, std::memory_order_release);
-  }
-
-  /// Wait until the owners of the chunks adjacent to this member's chunk
-  /// of [0, n) have completed `steps` steps.  A member with an empty chunk
-  /// has no neighbours (chunks are non-increasing in tid, so empty ones
-  /// trail and are nobody's neighbour either).
-  void wait_neighbours(const ExecSpace::Team& t, long n, long steps) {
-    long b, e;
-    t.chunk(n, b, e);
-    if (b == e) return;
-    const std::int64_t t0 = telemetry::enabled() ? telemetry::now_ns() : -1;
-    if (b > 0) spin(t.tid() - 1, steps);
-    if (e < n) spin(t.tid() + 1, steps);
-    if (t0 >= 0) {
-      telemetry::barrier_wait(t.tid())
-          .record(static_cast<std::uint64_t>(telemetry::now_ns() - t0));
-    }
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<long> v{0};
-  };
-
-  void spin(int member, long steps) const {
-    const auto& v = slots_[static_cast<std::size_t>(member)].v;
-    while (v.load(std::memory_order_acquire) < steps)
-      std::this_thread::yield();
-  }
-
-  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace igr::common

@@ -110,7 +110,7 @@ Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 
 /// Per-member exec-space wait time (`exec.barrier_wait.m<member>`): what
-/// ExecSpace::Team::barrier and NeighbourProgress::wait record.  Members past
+/// ExecSpace::Team::barrier records.  Members past
 /// the 63rd share the last histogram.  Registered on first use; the lookup
 /// after that is lock-free.
 Histogram& barrier_wait(int member);

@@ -1207,7 +1207,9 @@ void IgrSolver3D<Policy>::flux_stream_all(common::StateField3<S>& q,
 
 template <class Policy>
 void IgrSolver3D<Policy>::apply_domain_bc(common::StateField3<S>& q) {
-  fv::apply_bc(q, bc_, grid_, eos_);
+  cfg_.exec().run_team([&](const common::ExecSpace::Team& team) {
+    fv::apply_bc(q, bc_, grid_, eos_, team);
+  });
 }
 
 template <class Policy>
@@ -1344,19 +1346,22 @@ void IgrSolver3D<Policy>::compute_fluxes_runtime_dispatch(
 template <class Policy>
 void IgrSolver3D<Policy>::compute_rhs(common::StateField3<S>& q,
                                       common::StateField3<S>& rhs) {
+  phased_prologue(q);
+  common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
+  compute_fluxes(q, rhs);
+}
+
+template <class Policy>
+void IgrSolver3D<Policy>::phased_prologue(common::StateField3<S>& q) {
   {
     common::PhaseScope t(profile_, common::PhaseProfile::kBc);
     apply_domain_bc(q);
   }
-
   if (alpha_ > 0.0 && cfg_.sigma_sweeps > 0) {
     phased_sigma_solve(q);
   } else {
     sigma_.fill(S{});
   }
-
-  common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
-  compute_fluxes(q, rhs);
 }
 
 template <class Policy>
@@ -1401,7 +1406,6 @@ class LeadPhaseScope {
 
 template <class Policy>
 void IgrSolver3D<Policy>::stage_prologue(common::StateField3<S>& q) {
-  const common::ExecSpace exec = cfg_.exec();
   const bool sigma_active = alpha_ > 0.0 && cfg_.sigma_sweeps > 0;
   // A periodic Sigma wrap *along z* makes plane 0's sweep s read plane
   // nz-1's post-sweep-(s-1) values — which an ascending plane stream has not
@@ -1414,30 +1418,19 @@ void IgrSolver3D<Policy>::stage_prologue(common::StateField3<S>& q) {
                          sigma_bc_.side(2, 0) != SigmaBc::kPeriodic &&
                          sigma_bc_.side(2, 1) != SigmaBc::kPeriodic;
   if (!pipelined) {
-    {
-      common::PhaseScope t(profile_, common::PhaseProfile::kBc);
-      exec.run_team([&](const common::ExecSpace::Team& team) {
-        fv::apply_bc(q, bc_, grid_, eos_, team);
-      });
-    }
-    if (sigma_active) {
-      phased_sigma_solve(q);
-    } else {
-      sigma_.fill(S{});
-    }
+    phased_prologue(q);
     return;
   }
   // The pipeline performs `sweeps` logical relaxation passes without going
   // through sigma_sweep(); credit them up front so the meter agrees with
   // the phased schedule.
   sigma_sweeps_done_ += static_cast<std::uint64_t>(cfg_.sigma_sweeps);
-  common::NeighbourProgress progress(exec.max_team_size());
-  exec.run_team([&](const common::ExecSpace::Team& team) {
+  cfg_.exec().run_team([&](const common::ExecSpace::Team& team) {
     {
       LeadPhaseScope t(profile_, common::PhaseProfile::kBc, team);
       fv::apply_bc(q, bc_, grid_, eos_, team);
     }
-    fused_sigma_pipeline(q, team, progress);
+    fused_sigma_pipeline(q, team);
   });
   if (!cfg_.sigma_gauss_seidel && (cfg_.sigma_sweeps % 2 == 1))
     std::swap(sigma_, sigma_scratch_);
@@ -1479,21 +1472,18 @@ void IgrSolver3D<Policy>::stage_prologue(common::StateField3<S>& q) {
 /// slot's own plane.  Those rows were last stored in an earlier front, and
 /// in this front their owner stores only the other parity (red–black) or
 /// the other buffer (Jacobi), which the kernels never read there.  Hence
-/// one ordering point per front suffices: before front f a member waits
-/// until its two neighbours have finished front f-1 (NeighbourProgress),
-/// which orders both the reads after their stores and their next stores
-/// after these reads.  The y rim is the exception when y wraps: the ghost
-/// rows of the low edge copy the high edge member's rows — two members
-/// that are not neighbours — so that case orders its fronts with team
-/// barriers and copies the wrapped ghost rows in a phase of their own.
+/// one team barrier per front suffices: it orders both the reads after
+/// their stores and their next stores after these reads.  When y wraps,
+/// the ghost rows of the low edge copy the high edge member's rows, so
+/// that case copies the wrapped ghost rows in a phase of their own between
+/// the front's barrier and a second one.
 /// Ghost cells nothing reads during the sweeps (corners, the y ghost rows
 /// of the z ghost planes) are skipped there; the final full-depth fill of
 /// every plane rewrites every ghost cell, so the field leaves the pipeline
 /// bitwise equal to the phased schedule's.
 template <class Policy>
 void IgrSolver3D<Policy>::fused_sigma_pipeline(
-    common::StateField3<S>& q, const common::ExecSpace::Team& team,
-    common::NeighbourProgress& progress) {
+    common::StateField3<S>& q, const common::ExecSpace::Team& team) {
   const int nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const int ng = q.ng();
   const int sweeps = cfg_.sigma_sweeps;
@@ -1579,13 +1569,12 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(
     LeadPhaseScope t(profile_, common::PhaseProfile::kSigmaSource, team);
     refresh_upto(std::min(chunk, nz) + 1);
   }
-  progress.post(team, 1);  // step 1: the prologue; step f + 2: front f
 
   for (int f = 0; f <= nz - 1 + depth; ++f) {
     {
       LeadPhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps, team);
+      team.barrier();
       if (wrap_y) {
-        team.barrier();
         for (int s = 1; s <= sweeps; ++s) {
           const int p = rb ? f - 2 * (s - 1) : f - (s - 1);
           if (p >= 0 && p < nz)
@@ -1593,8 +1582,6 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(
         }
         final_wrapped_ghost_rows(f - 1 - depth);
         team.barrier();
-      } else {
-        progress.wait_neighbours(team, ny, f + 1);
       }
     }
     if (f < nz && f % chunk == 0) {
@@ -1634,7 +1621,6 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(
     }
     const int pf = f - depth;
     if (pf >= 0 && pf < nz) final_rows(pf);
-    if (!wrap_y) progress.post(team, f + 2);
   }
   if (wrap_y) {
     LeadPhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps, team);

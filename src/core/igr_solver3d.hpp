@@ -287,6 +287,9 @@ class IgrSolver3D {
   /// seams; smaller blocks keep the rolling window cache-resident (8 was
   /// measured best, see PERF.md).
   static constexpr int kFluxBlock = 8;
+  /// compute_rhs's prologue: the domain BC fill (one team launch), then
+  /// phased_sigma_solve, or a zero Sigma when the regularization is off.
+  void phased_prologue(common::StateField3<S>& q);
   /// Source build + sweeps + full-depth boundary fill as full-grid passes
   /// (compute_rhs's Sigma solve; also the fused path's periodic-z case).
   void phased_sigma_solve(common::StateField3<S>& q);
@@ -302,8 +305,7 @@ class IgrSolver3D {
   /// wrap would need far-boundary post-sweep values before the stream
   /// reaches them).
   void fused_sigma_pipeline(common::StateField3<S>& q,
-                            const common::ExecSpace::Team& team,
-                            common::NeighbourProgress& progress);
+                            const common::ExecSpace::Team& team);
   /// Streamed flux blocks with the RK update (and, on the final stage, the
   /// CFL reduction) trailing one block behind the flux front.
   void fused_flux_rk(common::StateField3<S>& q, common::StateField3<S>& rhs,

@@ -253,28 +253,13 @@ inline void relax_store_color(
   }
 }
 
-// Keeps a loop scalar: the lane copies below must not be widened into
-// whole-vector loads, which would touch the lanes another member is storing.
-#if defined(__clang__)
-#define IGR_SCALAR_FN
-#define IGR_SCALAR_LOOP _Pragma("clang loop vectorize(disable)")
-#elif defined(__GNUC__)
-#define IGR_SCALAR_FN __attribute__((optimize("no-tree-vectorize")))
-#define IGR_SCALAR_LOOP
-#else
-#define IGR_SCALAR_FN
-#define IGR_SCALAR_LOOP
-#endif
-
 /// Copy lanes i ∈ [0, nx) of a row another member owns into `dst` (indexed
 /// like the row): those with i ≡ parity (mod 2), or all of them for
 /// parity < 0.  Only lanes some kept value reads are touched — the owner
 /// may be storing the rest, and its x ghosts, concurrently.
 template <class S>
-IGR_SCALAR_FN void copy_owned_lanes(const S* row, S* dst, int nx,
-                                    int parity) {
+void copy_owned_lanes(const S* row, S* dst, int nx, int parity) {
   const int step = parity < 0 ? 1 : 2;
-  IGR_SCALAR_LOOP
   for (int i = parity < 0 ? 0 : parity; i < nx; i += step) dst[i] = row[i];
 }
 
