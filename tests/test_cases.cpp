@@ -382,26 +382,34 @@ TEST(CaseGolden, StateFingerprintsAreBitStable) {
 /// fingerprints are their only bitwise check.  jet-single steps on 1x1x2
 /// ranks (a z split, the layout of the TCP benchmark workload) and
 /// taylor-green on 2x1x1 (an x split of an all-periodic domain), both with
-/// in-process ranks.  Re-record with
+/// in-process ranks; jet-single on 1x1x2 again at Fp16x32 storage, whose
+/// per-rank sweeps run the batched conversion lanes.  Re-record with
 ///   ./run_case --case NAME --ranks RX,RY,RZ --n GOLDEN_N --steps GOLDEN_STEPS
+/// (plus --precision fp16x32 for the last row).
 TEST(CaseGolden, DecomposedGaussSeidelFingerprintsAreBitStable) {
   const struct {
     const char* name;
     std::array<int, 3> ranks;
+    bool fp16;  // Fp16x32 storage (its batched per-rank sweeps), else Fp64
     std::uint64_t fnv;
     std::uint64_t dt_fnv;
   } kGolden[] = {
-      {"jet-single", {1, 1, 2}, 0x35726f34a9b41697ull, 0x8676bab1bd7730e1ull},
-      {"taylor-green", {2, 1, 1}, 0x55a5c72b231513d3ull, 0xbbcd06f9752f4b83ull},
+      {"jet-single", {1, 1, 2}, false, 0x35726f34a9b41697ull,
+       0x8676bab1bd7730e1ull},
+      {"taylor-green", {2, 1, 1}, false, 0x55a5c72b231513d3ull,
+       0xbbcd06f9752f4b83ull},
+      {"jet-single", {1, 1, 2}, true, 0x0dd1888ac8e45decull,
+       0x8c2046eeffcbc609ull},
   };
   for (const auto& gold : kGolden) {
-    SCOPED_TRACE(gold.name);
+    SCOPED_TRACE(std::string(gold.name) + (gold.fp16 ? " fp16x32" : ""));
     const auto* spec = cases::find(gold.name);
     ASSERT_NE(spec, nullptr);
     auto opts = cases::golden_options(*spec);
     opts.ranks = gold.ranks;
     ASSERT_FALSE(opts.jacobi_sweeps);
-    const auto r = cases::run_case<Fp64>(*spec, opts);
+    const auto r = gold.fp16 ? cases::run_case<Fp16x32>(*spec, opts)
+                             : cases::run_case<Fp64>(*spec, opts);
     EXPECT_EQ(r.state_fnv, gold.fnv)
         << "state drifted: run produced 0x" << std::hex << r.state_fnv
         << ", golden table has 0x" << gold.fnv;

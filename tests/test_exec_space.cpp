@@ -23,6 +23,7 @@
 
 namespace {
 
+using igr::common::Bf16x32;
 using igr::common::ExecBackend;
 using igr::common::ExecSpace;
 using igr::common::Fp16x32;
@@ -279,12 +280,16 @@ TEST(ExecSpaceBitwise, PeriodicPhasedSweepsSerialMatchesThreads) {
 /// team barrier per wavefront front (two when Sigma wraps in y).  Its fingerprints are pinned — not merely compared across widths
 /// — at widths 1, 2 and 3; width 3 splits the rows unevenly (16 = 6+5+5).
 /// jet-single covers inflow/outflow BCs and the Neumann wavefront (FP64,
-/// FP16/32 batched lanes, Jacobi); sod-z the y-wrapped wavefront; sod-x the
-/// phased branch (periodic z) behind the team BC fill.  The fp64 red–black
-/// values are the CaseGolden table's; the FP16/32 and Jacobi ones were
-/// recorded with the per-plane-team schedule this one replaced (re-record:
-/// `run_case --case jet-single --n 16 --steps 8 [--precision fp16x32 |
-/// --jacobi]`).
+/// FP16/32 and BF16/32 batched lanes, Jacobi); sod-z the y-wrapped
+/// wavefront; sod-x the phased branch (periodic z) behind the team BC fill,
+/// with red–black and Jacobi sweeps at FP64 and red–black at FP16/32.  The
+/// fp64 red–black values are the CaseGolden table's; the jet FP16/32 and
+/// Jacobi ones were recorded with the per-plane-team schedule this one
+/// replaced, the sod-x FP16/32 and Jacobi and the jet BF16/32 ones with the
+/// full-field sweep kernels the phased branch used before its sweeps became
+/// one row-partitioned team each (re-record: `run_case --case NAME --n 16
+/// --steps S [--precision fp16x32|bf16x32 | --jacobi]`, S = 8 for
+/// jet-single and 12 for sod-x, the cases' golden sizes).
 template <class Policy>
 void expect_stage_team_pins(const char* name, bool jacobi, std::uint64_t fnv,
                             std::uint64_t dt_fnv) {
@@ -339,6 +344,18 @@ TEST(ExecSpaceStageTeam, SodZWrappedYJacobiAndFp16MatchSerial) {
 TEST(ExecSpaceStageTeam, SodXPhasedPinnedAtWidthsOneTwoThree) {
   expect_stage_team_pins<Fp64>("sod-x", false, 0x1d91a79a50229f98ull,
                                0x0a6caab339577c5aull);
+}
+TEST(ExecSpaceStageTeam, SodXPhasedFp16PinnedAtWidthsOneTwoThree) {
+  expect_stage_team_pins<Fp16x32>("sod-x", false, 0xe66d9671a098b1f1ull,
+                                  0x5ba109eabcd3a80eull);
+}
+TEST(ExecSpaceStageTeam, SodXPhasedJacobiPinnedAtWidthsOneTwoThree) {
+  expect_stage_team_pins<Fp64>("sod-x", true, 0x99619dbfcd5f2825ull,
+                               0x2b0a5af4b21f1712ull);
+}
+TEST(ExecSpaceStageTeam, JetBf16PinnedAtWidthsOneTwoThree) {
+  expect_stage_team_pins<Bf16x32>("jet-single", false, 0xcbd7d0f3b28f89bdull,
+                                  0x71ec5de47b73fa6cull);
 }
 
 TEST(ExecSpaceDistributed, PerRankTeamsBitwiseEqualSerialSingleDomain) {
