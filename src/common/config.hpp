@@ -28,13 +28,6 @@ struct SolverConfig {
   // --- Time integration ---
   double cfl = 0.4;          ///< Advective CFL number for SSP-RK3.
 
-  // --- Mixed-precision storage (FP16/32 policy only) ---
-  /// Use the batched binary16 conversion lanes (common::half) on the solver
-  /// hot paths.  The per-element reference path is kept behind `false` for
-  /// the bitwise batch-on/off regression test; identity-storage policies
-  /// (FP64, FP32) ignore this flag entirely.
-  bool batch_half_conversion = true;
-
   /// Record the per-phase wall-time breakdown (common::PhaseProfile).  Off
   /// by default; the bench harness enables it for its JSON report.
   bool phase_timing = false;

@@ -5,7 +5,7 @@
 ///
 /// Every parallel kernel in the solver is either a pure per-element map
 /// with disjoint writes, or a parity-phased in-place update whose phases
-/// are barrier-ordered (the full-field red–black k-parity passes, the
+/// are barrier-ordered (the two colors of a full-field red–black sweep, the
 /// fronts of the plane wavefront), and every reduction is an exact
 /// max/min — so neither the team width nor the partition of work across it
 /// can change a single bit of the result.  That invariance is what lets one

@@ -11,9 +11,10 @@
 /// BF16/32 they hit the batched conversion lanes in common::half /
 /// common::bfloat16, which is what makes mixed-precision storage
 /// competitive on CPUs (see PERF.md).  The batch hooks are element-wise
-/// bitwise-identical to the per-element `load`/`store` — solver hot paths
-/// may pick either form freely (the mixed-precision regression test asserts
-/// the whole-solver consequence of this).
+/// bitwise-identical to the per-element `load`/`store`
+/// (tests/test_half_batch.cpp, tests/test_bfloat16.cpp).  The solver hot
+/// paths of converting policies always go through the batch hooks; those of
+/// identity policies read and write the fields directly.
 
 #include <cstddef>
 #include <cstring>

@@ -195,12 +195,6 @@ class IgrSolver3D {
   /// The interior region used by the split above ([3, n-3) along `axis`,
   /// clamped for thin blocks; full extent on the other axes).
   [[nodiscard]] CellRegion interior_flux_region(int axis) const;
-  /// Reference flux path: identical sweep body, but the reconstruction
-  /// scheme is re-dispatched through the runtime switch per face — the
-  /// pre-optimization structure.  Kept for the dispatch-equivalence tests
-  /// (bitwise-equal results at FP64) and as a bisection aid; not a hot path.
-  void compute_fluxes_runtime_dispatch(common::StateField3<S>& q,
-                                       common::StateField3<S>& rhs);
   /// RK convex combination: stage = a*q^n + b*(stage + dt*rhs).
   void rk_update(const fv::Rk3Stage& st, double dt);
 
@@ -229,10 +223,11 @@ class IgrSolver3D {
   /// planes k0-1..k1); opens a team, each member builds its rows.
   void compute_sigma_source_planes(common::StateField3<S>& q, int k0, int k1);
   /// The member-level body: interior rows [j0, j1) of planes [k0, k1)
-  /// (reads q and inv_rho rows j0-1..j1).  For the converting policy with
-  /// batched lanes the member streams its planes through a rolling 3-plane
-  /// ring of velocity rows, so every momentum/inv_rho row is converted once
-  /// per visit instead of once per stencil position (five times).
+  /// (reads q and inv_rho rows j0-1..j1).  For converting policies the
+  /// member streams its planes through a rolling 3-plane ring of velocity
+  /// rows filled by the batched lanes, so every momentum/inv_rho row is
+  /// converted once per visit instead of once per stencil position (five
+  /// times).
   void sigma_source_rows(common::StateField3<S>& q, int k0, int k1, int j0,
                          int j1);
   /// Full-field source build: inv_rho refresh interleaved with the source
@@ -240,25 +235,15 @@ class IgrSolver3D {
   /// cache-resident when the source consumes them.  (Values are traversal-
   /// order-independent; this is bitwise the old two-pass build.)
   void compute_sigma_source(common::StateField3<S>& q);
-  /// One dimensional sweep, templated on the sweep axis and on the
-  /// reconstruction operator (a fv::ReconFixed<R> for the hot path,
-  /// fv::ReconRuntime for the reference path): axis selection, pressure
-  /// placement, and the reconstruction stencil all resolve at compile time,
-  /// leaving no per-face dispatch.  `overwrite` folds the RHS zeroing into
-  /// the first sweep's write-back.
-  /// All sweeps honor a cell region: only cells inside `reg` are written,
-  /// and only the stencil extent of `reg` is read.
-  template <int Dir, class ReconOp>
-  void flux_sweep(common::StateField3<S>& q, common::StateField3<S>& rhs,
-                  ReconOp recon, bool overwrite, const CellRegion& reg);
-  template <class ReconOp>
-  void flux_sweep_all(common::StateField3<S>& q, common::StateField3<S>& rhs,
-                      ReconOp recon, const CellRegion& reg);
-  /// Row-streaming form of one sweep: faces evaluated a unit-stride x-row
-  /// at a time straight from the fields (no line gather/scatter), with
-  /// rolling stencil/prim/flux rows for the transverse directions.
-  /// Bitwise-identical to flux_sweep; the hot path for every region
-  /// variant, while the runtime-dispatch reference keeps the line kernel.
+  /// One dimensional flux sweep, the only flux kernel: faces evaluated a
+  /// unit-stride x-row at a time straight from the fields (no line
+  /// gather/scatter), with rolling stencil/prim/flux rows for the
+  /// transverse directions.  Templated on the sweep axis and on the
+  /// reconstruction operator (a fv::ReconFixed<R>): axis selection,
+  /// pressure placement, and the reconstruction stencil all resolve at
+  /// compile time, leaving no per-face dispatch.  `overwrite` folds the RHS
+  /// zeroing into the first sweep's write-back.  Only cells inside `reg`
+  /// are written, and only the stencil extent of `reg` is read.
   template <int Dir, class ReconOp>
   void flux_sweep_stream(common::StateField3<S>& q,
                          common::StateField3<S>& rhs, ReconOp recon,
@@ -292,6 +277,7 @@ class IgrSolver3D {
   void phased_prologue(common::StateField3<S>& q);
   /// Source build + sweeps + full-depth boundary fill as full-grid passes
   /// (compute_rhs's Sigma solve; also the fused path's periodic-z case).
+  /// Each sweep is one sigma_sweep_once team over all planes.
   void phased_sigma_solve(common::StateField3<S>& q);
   /// Everything of one RK stage before the flux: the domain BC fill and
   /// the Sigma solve, both in one exec team whose members each own a fixed

@@ -64,8 +64,8 @@ struct StencilRows {
   const C* src_c;
 };
 
-/// Per-plane conversion cache for the batched sweeps of a converting
-/// (FP16/32) policy — the PR 4 velocity-row-ring pattern applied to the
+/// Per-plane conversion cache for the sweeps of a converting (FP16/32,
+/// BF16/32) policy — the PR 4 velocity-row-ring pattern applied to the
 /// sigma-sweep stencil gathers.  One get-or-convert slot per row of the
 /// *current plane* (j ∈ [-1, ny]) holds the plane's sigma and
 /// reciprocal-density rows at compute precision, so adjacent (j, k) visits
@@ -82,9 +82,9 @@ struct StencilRows {
 /// never consumed:
 /// every tap feeding a stored value reads the opposite parity ((i+j+k) of
 /// each stencil neighbor flips), which the color pass does not write — so
-/// the stored bits are identical to the per-visit-gather form
-/// (tests/test_mixed_precision_step.cpp asserts the end-to-end
-/// consequence).  A cache must never survive into the *next* color or
+/// the stored bits are identical to the per-visit-gather form (the
+/// FP16/32 and BF16/32 fingerprint pins hold the end-to-end consequence
+/// across team widths).  A cache must never survive into the *next* color or
 /// sweep, whose taps do consume the previous pass's writes — every user
 /// constructs/resets per color pass.
 template <class Policy>
@@ -185,11 +185,10 @@ inline StencilRows<typename Policy::compute_t> gather_rows(
 
 /// Tentative relax values for a whole row of gathered compute-precision
 /// rows.  Contiguous in i, so the loop (and its diagonal divide)
-/// vectorizes; the expression mirrors relax_cell exactly, so with bitwise-
-/// identical conversion lanes the paths produce bitwise-identical updates —
-/// tests/test_mixed_precision_step.cpp asserts this end to end.  Red–black
-/// callers keep only the updated color's lanes — bit-for-bit what the
-/// strided per-cell evaluation would have stored.
+/// vectorizes; the expression mirrors relax_cell exactly, so each lane is
+/// the per-cell update of the converted values.  Red–black callers keep
+/// only the updated color's lanes — bit-for-bit what the strided per-cell
+/// evaluation would have stored.
 template <class C>
 inline void relax_row_gathered(const StencilRows<C>& b, int nx, C alpha,
                                C inv_dx2, C inv_dy2, C inv_dz2,
@@ -265,8 +264,8 @@ void copy_owned_lanes(const S* row, S* dst, int nx, int parity) {
 
 /// The j∓1 sigma row `j` of plane k as a neighbour-owned row: its lanes
 /// with i ≡ parity copied into edge slot `slot` (0 or 1), returned as the
-/// storage row (for the per-element path, `raw`) or converted to compute
-/// precision in the cache layout (i ∈ [-1, nx]).  The lanes not copied
+/// storage row (identity storage, `raw`) or converted to compute precision
+/// in the cache layout (i ∈ [-1, nx]).  The lanes not copied
 /// hold stale values no kept lane reads.
 template <class Policy>
 const typename Policy::storage_t* owned_lanes_raw(
@@ -288,48 +287,6 @@ const typename Policy::compute_t* owned_lanes_row(
   auto* dst = sc.edge.data() + static_cast<std::size_t>(slot) * row_len;
   common::load_line<Policy>(raw, dst, row_len);
   return dst;
-}
-
-/// One full-field relaxation pass.  With `jacobi` true, reads `in` and
-/// writes `out` (distinct buffers, embarrassingly parallel across the
-/// execution space); otherwise updates in place in the natural
-/// lexicographic Gauss–Seidel order, which is inherently serial (kept as
-/// the reference ordering — it ignores `exec`).
-template <class Policy>
-void sweep(common::Field3<typename Policy::storage_t>& out,
-           const common::Field3<typename Policy::storage_t>& in,
-           const common::Field3<typename Policy::storage_t>& src,
-           const common::Field3<typename Policy::storage_t>& inv_rho,
-           typename Policy::compute_t alpha,
-           typename Policy::compute_t inv_dx2,
-           typename Policy::compute_t inv_dy2,
-           typename Policy::compute_t inv_dz2, bool jacobi,
-           const common::ExecSpace& exec) {
-  using C = typename Policy::compute_t;
-  using S = typename Policy::storage_t;
-  const int nx = out.nx(), ny = out.ny(), nz = out.nz();
-
-  const std::ptrdiff_t sy = inv_rho.stride(1);
-  const std::ptrdiff_t sz = inv_rho.stride(2);
-  const common::Field3<S>& sin_f = jacobi ? in : out;
-
-  auto relax_plane = [&](int k) {
-    for (int j = 0; j < ny; ++j) {
-      const S* pir = &inv_rho(0, j, k);
-      const S* psr = &src(0, j, k);
-      const S* ps = &sin_f(0, j, k);
-      S* po = &out(0, j, k);
-      for (int i = 0; i < nx; ++i) {
-        po[i] = static_cast<S>(relax_cell<C>(pir, psr, ps, i, sy, sz, alpha,
-                                             inv_dx2, inv_dy2, inv_dz2));
-      }
-    }
-  };
-  if (jacobi) {
-    exec.for_each(nz, [&](long k) { relax_plane(static_cast<int>(k)); });
-  } else {
-    for (int k = 0; k < nz; ++k) relax_plane(k);
-  }
 }
 
 /// Tentative relax values for a whole row.  Contiguous in i, no
@@ -377,151 +334,6 @@ inline void relax_row(const S* pir, const S* psr, const S* ps,
   }
 }
 
-/// One two-color (red–black) Gauss–Seidel pass, in place.  Cells of one
-/// color only couple to the other color through the 7-point stencil, so
-/// each half-pass is dependency-free: it parallelizes across k-planes and
-/// vectorizes by relaxing whole rows and storing only the updated color —
-/// the discarded lanes read stale same-color values, which cannot leak into
-/// a stored bit.  Each color pass runs as two k-parity phases: the whole-row
-/// evaluation also *reads* (without keeping) the current color's elements of
-/// the k∓1 planes, so letting adjacent planes update concurrently would be a
-/// formal data race on those bytes; within one phase all written planes
-/// share a k parity while reads only cross to the other parity.  Converges
-/// to the same fixed point as the serial sweep — tests/test_sigma_solver.cpp
-/// asserts this.
-template <class Policy>
-void sweep_red_black(common::Field3<typename Policy::storage_t>& sigma,
-                     const common::Field3<typename Policy::storage_t>& src,
-                     const common::Field3<typename Policy::storage_t>& inv_rho,
-                     typename Policy::compute_t alpha,
-                     typename Policy::compute_t inv_dx2,
-                     typename Policy::compute_t inv_dy2,
-                     typename Policy::compute_t inv_dz2,
-                     const common::ExecSpace& exec) {
-  using C = typename Policy::compute_t;
-  using S = typename Policy::storage_t;
-  const int nx = sigma.nx(), ny = sigma.ny(), nz = sigma.nz();
-  const std::ptrdiff_t sy = inv_rho.stride(1);
-  const std::ptrdiff_t sz = inv_rho.stride(2);
-
-  for (int color = 0; color < 2; ++color) {
-    for (int kphase = 0; kphase < 2; ++kphase) {
-      // Each member owns a contiguous chunk of this phase's k-parity planes
-      // (k = kphase + 2*kk); writes of one phase never share a plane.
-      const long nk = (static_cast<long>(nz) - kphase + 1) / 2;
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> tmp(static_cast<std::size_t>(nx));
-        long cb, ce;
-        t.chunk(nk, cb, ce);
-        for (long kk = cb; kk < ce; ++kk) {
-          const int k = kphase + 2 * static_cast<int>(kk);
-          for (int j = 0; j < ny; ++j) {
-            const S* pir = &inv_rho(0, j, k);
-            const S* psr = &src(0, j, k);
-            S* ps = &sigma(0, j, k);
-            relax_row<C>(pir, psr, ps, ps - sy, ps + sy, nx, sy, sz, alpha,
-                         inv_dx2, inv_dy2, inv_dz2, tmp.data());
-            for (int i = (color + j + k) & 1; i < nx; i += 2) {
-              ps[i] = static_cast<S>(tmp[i]);
-            }
-          }
-        }
-      });
-    }
-  }
-}
-
-/// Row-batched red–black pass for converting policies: the storage fields
-/// are read through per-row compute-precision scratch (one batch conversion
-/// per row instead of one scalar conversion per stencil tap), and the
-/// updated color's values are compacted, batch-converted, and scattered
-/// back with stride 2.  Only the updated color's cells are ever read by the
-/// relax expression's taps (opposite parity) and only they are written, so
-/// the result is bitwise-equal to the per-element ordering.  The serial j
-/// walk within each plane streams through the rolling PlaneRowCache, so
-/// every center-plane sigma/inv_rho row converts once per plane visit
-/// instead of three times (eleven gathered rows per visit become seven).
-///
-/// Each color pass runs as two k-parity phases: the whole-row gathers also
-/// *touch* (without using) the current color's elements of the k∓1 planes,
-/// so letting adjacent planes update concurrently would be a formal data
-/// race on those bytes.  Within one phase all written planes share a k
-/// parity while gathers only cross to the other parity — race-free with the
-/// gathers kept contiguous (the fast form).  Update order across planes is
-/// immaterial for red–black (all read taps are the un-written color), so
-/// phasing does not change results; single-core it is the same work.
-template <class Policy>
-void sweep_red_black_batched(
-    common::Field3<typename Policy::storage_t>& sigma,
-    const common::Field3<typename Policy::storage_t>& src,
-    const common::Field3<typename Policy::storage_t>& inv_rho,
-    typename Policy::compute_t alpha, typename Policy::compute_t inv_dx2,
-    typename Policy::compute_t inv_dy2, typename Policy::compute_t inv_dz2,
-    const common::ExecSpace& exec) {
-  const int nx = sigma.nx(), ny = sigma.ny(), nz = sigma.nz();
-  const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-
-  for (int color = 0; color < 2; ++color) {
-    for (int kphase = 0; kphase < 2; ++kphase) {
-      const long nk = (static_cast<long>(nz) - kphase + 1) / 2;
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        SigmaRowScratch<Policy> sc(nx, ny);
-        PlaneRowCache<Policy> cache(sc, ny, row_len);
-        long cb, ce;
-        t.chunk(nk, cb, ce);
-        for (long kk = cb; kk < ce; ++kk) {
-          const int k = kphase + 2 * static_cast<int>(kk);
-          cache.reset(k);
-          for (int j = 0; j < ny; ++j) {
-            const auto rows = gather_rows<Policy>(cache, sigma, src, inv_rho,
-                                                  j, k, row_len, sc.aux.data());
-            relax_store_color<Policy>(rows, sigma, color, j, k, alpha, inv_dx2,
-                                      inv_dy2, inv_dz2, sc);
-          }
-        }
-      });
-    }
-  }
-}
-
-/// Row-batched Jacobi pass for converting policies (reads `in`, writes
-/// `out`): whole rows are converted in through the rolling row cache (the
-/// read field is never written, so cached rows are trivially fresh),
-/// relaxed at compute precision, and converted back out in one batch store
-/// per row.
-template <class Policy>
-void sweep_jacobi_batched(
-    common::Field3<typename Policy::storage_t>& out,
-    const common::Field3<typename Policy::storage_t>& in,
-    const common::Field3<typename Policy::storage_t>& src,
-    const common::Field3<typename Policy::storage_t>& inv_rho,
-    typename Policy::compute_t alpha, typename Policy::compute_t inv_dx2,
-    typename Policy::compute_t inv_dy2, typename Policy::compute_t inv_dz2,
-    const common::ExecSpace& exec) {
-  using C = typename Policy::compute_t;
-  const int nx = out.nx(), ny = out.ny(), nz = out.nz();
-  const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-
-  exec.run_team([&](const common::ExecSpace::Team& t) {
-    SigmaRowScratch<Policy> sc(nx, ny);
-    PlaneRowCache<Policy> cache(sc, ny, row_len);
-    long cb, ce;
-    t.chunk(nz, cb, ce);
-    for (long kk = cb; kk < ce; ++kk) {
-      const int k = static_cast<int>(kk);
-      cache.reset(k);
-      for (int j = 0; j < ny; ++j) {
-        const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j, k,
-                                              row_len, sc.aux.data());
-        relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
-                              sc.tmp.data());
-        common::store_line<Policy>(sc.tmp.data(), out.row(j, k),
-                                   static_cast<std::size_t>(nx));
-      }
-    }
-  });
-}
-
 /// Fill depth: `layers` clamped to the field's ghost depth (< 0 = all).
 template <class S>
 int fill_depth(const common::Field3<S>& sigma, int layers) {
@@ -561,8 +373,7 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t dx,
                         typename Policy::compute_t dy,
                         typename Policy::compute_t dz, int color, int k0,
-                        int k1, bool batch,
-                        const common::ExecSpace::Team& team,
+                        int k1, const common::ExecSpace::Team& team,
                         SigmaRowScratch<Policy>& sc) {
   using C = typename Policy::compute_t;
   using S = typename Policy::storage_t;
@@ -580,50 +391,46 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
   const bool lo_nbr = jb > 0, hi_nbr = je < ny;
 
   if constexpr (common::converts_storage<Policy>) {
-    if (batch) {
-      // One row cache per plane, shared by the member's serial j walk: every
-      // center-plane row converts once per visit.  Valid within the color
-      // pass by the parity argument at PlaneRowCache.
-      const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-      PlaneRowCache<Policy> cache(sc, ny, row_len);
-      for (int k = k0; k < k1; ++k) {
-        cache.reset(k);
-        for (int j = jb; j < je; ++j) {
-          const int keep = (color + j + k) & 1;
-          const C* jm = (j == jb && lo_nbr)
-                            ? owned_lanes_row(sigma, j - 1, k, keep, 0, sc)
-                            : nullptr;
-          const C* jp = (j == je - 1 && hi_nbr)
-                            ? owned_lanes_row(sigma, j + 1, k, keep, 1, sc)
-                            : nullptr;
-          const auto rows = gather_rows<Policy>(cache, sigma, src, inv_rho, j,
-                                                k, row_len, sc.aux.data(), jm,
-                                                jp);
-          relax_store_color<Policy>(rows, sigma, color, j, k, alpha, inv_dx2,
-                                    inv_dy2, inv_dz2, sc);
-        }
+    // One row cache per plane, shared by the member's serial j walk: every
+    // center-plane row converts once per visit.  Valid within the color
+    // pass by the parity argument at PlaneRowCache.
+    const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
+    PlaneRowCache<Policy> cache(sc, ny, row_len);
+    for (int k = k0; k < k1; ++k) {
+      cache.reset(k);
+      for (int j = jb; j < je; ++j) {
+        const int keep = (color + j + k) & 1;
+        const C* jm = (j == jb && lo_nbr)
+                          ? owned_lanes_row(sigma, j - 1, k, keep, 0, sc)
+                          : nullptr;
+        const C* jp = (j == je - 1 && hi_nbr)
+                          ? owned_lanes_row(sigma, j + 1, k, keep, 1, sc)
+                          : nullptr;
+        const auto rows = gather_rows<Policy>(cache, sigma, src, inv_rho, j, k,
+                                              row_len, sc.aux.data(), jm, jp);
+        relax_store_color<Policy>(rows, sigma, color, j, k, alpha, inv_dx2,
+                                  inv_dy2, inv_dz2, sc);
       }
-      return;
     }
-  }
-
-  const std::ptrdiff_t sy = inv_rho.stride(1);
-  const std::ptrdiff_t sz = inv_rho.stride(2);
-  for (int k = k0; k < k1; ++k) {
-    for (int j = jb; j < je; ++j) {
-      const int keep = (color + j + k) & 1;
-      const S* pir = &inv_rho(0, j, k);
-      const S* psr = &src(0, j, k);
-      S* ps = &sigma(0, j, k);
-      const S* jm = (j == jb && lo_nbr)
-                        ? owned_lanes_raw(sigma, j - 1, k, keep, 0, sc)
-                        : ps - sy;
-      const S* jp = (j == je - 1 && hi_nbr)
-                        ? owned_lanes_raw(sigma, j + 1, k, keep, 1, sc)
-                        : ps + sy;
-      relax_row<C>(pir, psr, ps, jm, jp, nx, sy, sz, alpha, inv_dx2, inv_dy2,
-                   inv_dz2, sc.tmp.data());
-      for (int i = keep; i < nx; i += 2) ps[i] = static_cast<S>(sc.tmp[i]);
+  } else {
+    const std::ptrdiff_t sy = inv_rho.stride(1);
+    const std::ptrdiff_t sz = inv_rho.stride(2);
+    for (int k = k0; k < k1; ++k) {
+      for (int j = jb; j < je; ++j) {
+        const int keep = (color + j + k) & 1;
+        const S* pir = &inv_rho(0, j, k);
+        const S* psr = &src(0, j, k);
+        S* ps = &sigma(0, j, k);
+        const S* jm = (j == jb && lo_nbr)
+                          ? owned_lanes_raw(sigma, j - 1, k, keep, 0, sc)
+                          : ps - sy;
+        const S* jp = (j == je - 1 && hi_nbr)
+                          ? owned_lanes_raw(sigma, j + 1, k, keep, 1, sc)
+                          : ps + sy;
+        relax_row<C>(pir, psr, ps, jm, jp, nx, sy, sz, alpha, inv_dx2,
+                     inv_dy2, inv_dz2, sc.tmp.data());
+        for (int i = keep; i < nx; i += 2) ps[i] = static_cast<S>(sc.tmp[i]);
+      }
     }
   }
 }
@@ -637,7 +444,7 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t dx,
                          typename Policy::compute_t dy,
                          typename Policy::compute_t dz, int k0, int k1,
-                         bool batch, const common::ExecSpace::Team& team,
+                         const common::ExecSpace::Team& team,
                          SigmaRowScratch<Policy>& sc) {
   using C = typename Policy::compute_t;
   using S = typename Policy::storage_t;
@@ -651,44 +458,41 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
   if (jb == je) return;
 
   if constexpr (common::converts_storage<Policy>) {
-    if (batch) {
-      // The cache would convert whole rows, x ghosts included; a
-      // neighbour-owned row is copied over [0, nx) instead.
-      const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-      PlaneRowCache<Policy> cache(sc, ny, row_len);
-      for (int k = k0; k < k1; ++k) {
-        cache.reset(k);
-        for (int j = jb; j < je; ++j) {
-          const C* jm = (j == jb && jb > 0)
-                            ? owned_lanes_row(in, j - 1, k, -1, 0, sc)
-                            : nullptr;
-          const C* jp = (j == je - 1 && je < ny)
-                            ? owned_lanes_row(in, j + 1, k, -1, 1, sc)
-                            : nullptr;
-          const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j, k,
-                                                row_len, sc.aux.data(), jm, jp);
-          relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
-                                sc.tmp.data());
-          common::store_line<Policy>(sc.tmp.data(), out.row(j, k),
-                                     static_cast<std::size_t>(nx));
-        }
+    // The cache would convert whole rows, x ghosts included; a
+    // neighbour-owned row is copied over [0, nx) instead.
+    const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
+    PlaneRowCache<Policy> cache(sc, ny, row_len);
+    for (int k = k0; k < k1; ++k) {
+      cache.reset(k);
+      for (int j = jb; j < je; ++j) {
+        const C* jm = (j == jb && jb > 0)
+                          ? owned_lanes_row(in, j - 1, k, -1, 0, sc)
+                          : nullptr;
+        const C* jp = (j == je - 1 && je < ny)
+                          ? owned_lanes_row(in, j + 1, k, -1, 1, sc)
+                          : nullptr;
+        const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j, k,
+                                              row_len, sc.aux.data(), jm, jp);
+        relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
+                              sc.tmp.data());
+        common::store_line<Policy>(sc.tmp.data(), out.row(j, k),
+                                   static_cast<std::size_t>(nx));
       }
-      return;
     }
-  }
-
-  // The per-cell taps read rows j∓1 over [0, nx) only.
-  const std::ptrdiff_t sy = inv_rho.stride(1);
-  const std::ptrdiff_t sz = inv_rho.stride(2);
-  for (int k = k0; k < k1; ++k) {
-    for (int j = jb; j < je; ++j) {
-      const S* pir = &inv_rho(0, j, k);
-      const S* psr = &src(0, j, k);
-      const S* ps = &in(0, j, k);
-      S* po = &out(0, j, k);
-      for (int i = 0; i < nx; ++i) {
-        po[i] = static_cast<S>(relax_cell<C>(pir, psr, ps, i, sy, sz, alpha,
-                                             inv_dx2, inv_dy2, inv_dz2));
+  } else {
+    // The per-cell taps read rows j∓1 over [0, nx) only.
+    const std::ptrdiff_t sy = inv_rho.stride(1);
+    const std::ptrdiff_t sz = inv_rho.stride(2);
+    for (int k = k0; k < k1; ++k) {
+      for (int j = jb; j < je; ++j) {
+        const S* pir = &inv_rho(0, j, k);
+        const S* psr = &src(0, j, k);
+        const S* ps = &in(0, j, k);
+        S* po = &out(0, j, k);
+        for (int i = 0; i < nx; ++i) {
+          po[i] = static_cast<S>(relax_cell<C>(pir, psr, ps, i, sy, sz, alpha,
+                                               inv_dx2, inv_dy2, inv_dz2));
+        }
       }
     }
   }
@@ -797,59 +601,24 @@ void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
                       typename Policy::compute_t dx,
                       typename Policy::compute_t dy,
                       typename Policy::compute_t dz, SweepKind kind,
-                      bool batch, const common::ExecSpace& exec) {
-  using C = typename Policy::compute_t;
-  const C inv_dx2 = C(1) / (dx * dx);
-  const C inv_dy2 = C(1) / (dy * dy);
-  const C inv_dz2 = C(1) / (dz * dz);
-  // The row-batched passes only exist for converting policies; identity
-  // storage reads at compute precision already, so batching would only add
-  // copies.  The lexicographic ordering keeps its serial per-element form.
-  constexpr bool kConverts = common::converts_storage<Policy>;
-  switch (kind) {
-    case SweepKind::kRedBlack:
-      if constexpr (kConverts) {
-        if (batch) {
-          sweep_red_black_batched<Policy>(sigma, src, inv_rho, alpha, inv_dx2,
-                                          inv_dy2, inv_dz2, exec);
-          break;
-        }
-      }
-      sweep_red_black<Policy>(sigma, src, inv_rho, alpha, inv_dx2, inv_dy2,
-                              inv_dz2, exec);
-      break;
-    case SweepKind::kGaussSeidelLex:
-      sweep<Policy>(sigma, sigma, src, inv_rho, alpha, inv_dx2, inv_dy2,
-                    inv_dz2, /*jacobi=*/false, exec);
-      break;
-    case SweepKind::kJacobi:
-      if constexpr (kConverts) {
-        if (batch) {
-          sweep_jacobi_batched<Policy>(scratch, sigma, src, inv_rho, alpha,
-                                       inv_dx2, inv_dy2, inv_dz2, exec);
-          std::swap(sigma, scratch);
-          break;
-        }
-      }
-      sweep<Policy>(scratch, sigma, src, inv_rho, alpha, inv_dx2, inv_dy2,
-                    inv_dz2, /*jacobi=*/true, exec);
-      std::swap(sigma, scratch);
-      break;
-  }
-}
-
-template <class Policy>
-void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
-                      common::Field3<typename Policy::storage_t>& scratch,
-                      const common::Field3<typename Policy::storage_t>& src,
-                      const common::Field3<typename Policy::storage_t>& inv_rho,
-                      typename Policy::compute_t alpha,
-                      typename Policy::compute_t dx,
-                      typename Policy::compute_t dy,
-                      typename Policy::compute_t dz, bool gauss_seidel) {
-  sigma_sweep_once<Policy>(sigma, scratch, src, inv_rho, alpha, dx, dy, dz,
-                           gauss_seidel ? SweepKind::kRedBlack
-                                        : SweepKind::kJacobi);
+                      const common::ExecSpace& exec) {
+  const int nz = sigma.nz();
+  exec.run_team([&](const common::ExecSpace::Team& team) {
+    SigmaRowScratch<Policy> sc(sigma.nx(), sigma.ny());
+    if (kind == SweepKind::kJacobi) {
+      sigma_jacobi_planes<Policy>(scratch, sigma, src, inv_rho, alpha, dx, dy,
+                                  dz, 0, nz, team, sc);
+      return;
+    }
+    // Color 1 reads the color-0 values neighbour members stored in rows
+    // next to their ranges: one barrier between the colors orders them.
+    sigma_relax_planes<Policy>(sigma, src, inv_rho, alpha, dx, dy, dz,
+                               /*color=*/0, 0, nz, team, sc);
+    team.barrier();
+    sigma_relax_planes<Policy>(sigma, src, inv_rho, alpha, dx, dy, dz,
+                               /*color=*/1, 0, nz, team, sc);
+  });
+  if (kind == SweepKind::kJacobi) std::swap(sigma, scratch);
 }
 
 template <class Policy>
@@ -861,31 +630,16 @@ void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
                  typename Policy::compute_t dx,
                  typename Policy::compute_t dy,
                  typename Policy::compute_t dz,
-                 int sweeps, SweepKind kind, SigmaBcSpec bc, bool batch,
+                 int sweeps, SweepKind kind, SigmaBcSpec bc,
                  const common::ExecSpace& exec) {
   for (int s = 0; s < sweeps; ++s) {
     // Sweeps consume a single ghost layer.
     fill_sigma_ghosts(sigma, bc, 1);
     sigma_sweep_once<Policy>(sigma, scratch, src, inv_rho, alpha, dx, dy, dz,
-                             kind, batch, exec);
+                             kind, exec);
   }
   // Reconstruction downstream needs the full ghost depth.
   fill_sigma_ghosts(sigma, bc);
-}
-
-template <class Policy>
-void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
-                 common::Field3<typename Policy::storage_t>& scratch,
-                 const common::Field3<typename Policy::storage_t>& src,
-                 const common::Field3<typename Policy::storage_t>& inv_rho,
-                 typename Policy::compute_t alpha,
-                 typename Policy::compute_t dx,
-                 typename Policy::compute_t dy,
-                 typename Policy::compute_t dz,
-                 int sweeps, bool gauss_seidel, SigmaBcSpec bc) {
-  sigma_solve<Policy>(sigma, scratch, src, inv_rho, alpha, dx, dy, dz, sweeps,
-                      gauss_seidel ? SweepKind::kRedBlack : SweepKind::kJacobi,
-                      bc);
 }
 
 template <class Policy>
@@ -943,22 +697,13 @@ using common::Fp64;
   template void sigma_sweep_once<P>(                                           \
       common::Field3<P::storage_t>&, common::Field3<P::storage_t>&,            \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
-      P::compute_t, P::compute_t, P::compute_t, P::compute_t, bool);           \
-  template void sigma_sweep_once<P>(                                           \
-      common::Field3<P::storage_t>&, common::Field3<P::storage_t>&,            \
-      const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
       P::compute_t, P::compute_t, P::compute_t, P::compute_t, SweepKind,       \
-      bool, const common::ExecSpace&);                                         \
-  template void sigma_solve<P>(                                                \
-      common::Field3<P::storage_t>&, common::Field3<P::storage_t>&,            \
-      const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
-      P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, bool,       \
-      SigmaBcSpec);                                                            \
+      const common::ExecSpace&);                                               \
   template void sigma_solve<P>(                                                \
       common::Field3<P::storage_t>&, common::Field3<P::storage_t>&,            \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
       P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, SweepKind,  \
-      SigmaBcSpec, bool, const common::ExecSpace&);                            \
+      SigmaBcSpec, const common::ExecSpace&);                                  \
   template double sigma_residual<P>(                                           \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
       const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \
@@ -967,12 +712,12 @@ using common::Fp64;
   template void sigma_relax_planes<P>(                                         \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \
-      P::compute_t, P::compute_t, int, int, int, bool,                         \
+      P::compute_t, P::compute_t, int, int, int,                               \
       const common::ExecSpace::Team&, SigmaRowScratch<P>&);                    \
   template void sigma_jacobi_planes<P>(                                        \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
-      P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, int, bool,  \
+      P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, int,        \
       const common::ExecSpace::Team&, SigmaRowScratch<P>&);
 
 IGR_INSTANTIATE_SIGMA(Fp64)

@@ -59,13 +59,11 @@ enum class SweepKind {
   /// decomposition-exact (rank count cannot change the bits), at the cost
   /// of one extra N-sized buffer and a slightly slower contraction rate.
   kJacobi,
-  /// In-place lexicographic Gauss–Seidel: the textbook serial ordering.
-  /// Kept as the reference the parallel ordering is validated against.
-  kGaussSeidelLex,
   /// In-place two-color (red–black) Gauss–Seidel: each half-pass updates
   /// one parity of (i+j+k) and is dependency-free, so it parallelizes
-  /// across k-planes and pipelines within a row.  Same fixed point as the
-  /// lexicographic ordering.  The default Gauss–Seidel flavor.
+  /// across rows and planes and vectorizes within a row.  Same fixed point
+  /// as the serial lexicographic ordering (tests/test_sigma_solver.cpp
+  /// checks this against a test-local lexicographic sweep).
   kRedBlack,
 };
 
@@ -83,14 +81,14 @@ void fill_sigma_ghosts_axis(common::Field3<S>& sigma, SigmaBcSpec bc,
                             int axis, std::array<bool, 2> sides,
                             int layers = -1);
 
-// --- Row-range building blocks (the fused RHS pipeline) ---
+// --- Row-range building blocks (the only relaxation kernels) ---
 // A full sweep (ghost fill + both red–black colors, or one Jacobi pass)
 // decomposes into per-plane slots whose reads only ever see the values the
 // phased schedule would show them, so a k-skewed wavefront of these calls is
-// bitwise-identical to sigma_sweep_once.  The pipeline runs the wavefront in
-// one team whose members each own a fixed contiguous range of rows
-// (Team::chunk over y); see IgrSolver3D's fused pipeline for the slot
-// schedule and its dependency argument.
+// bitwise-identical to sigma_sweep_once, which runs the same kernels over
+// all planes at once.  Both run in one team whose members each own a fixed
+// contiguous range of rows (Team::chunk over y); see IgrSolver3D's fused
+// pipeline for the wavefront's slot schedule and its dependency argument.
 
 /// x ghost columns, `layers` deep on the unmasked sides, of rows
 /// [j0, j1) of plane k: fill_sigma_ghosts' axis-0 pass restricted to those
@@ -143,6 +141,9 @@ struct SigmaRowScratch {
 /// it reads only the opposite-parity lanes, which their concurrent
 /// half-pass over the same plane does not store — so members need no
 /// ordering within a plane slot, only the caller's between wavefronts.
+/// Converting policies (FP16/32, BF16/32) read through per-row compute-
+/// precision scratch filled by the batched conversion lanes; identity
+/// storage reads the field rows directly.
 template <class Policy>
 void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         const common::Field3<typename Policy::storage_t>& src,
@@ -151,8 +152,7 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t dx,
                         typename Policy::compute_t dy,
                         typename Policy::compute_t dz, int color, int k0,
-                        int k1, bool batch,
-                        const common::ExecSpace::Team& team,
+                        int k1, const common::ExecSpace::Team& team,
                         SigmaRowScratch<Policy>& scratch);
 
 /// One Jacobi pass of planes k ∈ [k0, k1) for this member's rows: reads
@@ -170,7 +170,7 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t dx,
                          typename Policy::compute_t dy,
                          typename Policy::compute_t dz, int k0, int k1,
-                         bool batch, const common::ExecSpace::Team& team,
+                         const common::ExecSpace::Team& team,
                          SigmaRowScratch<Policy>& scratch);
 
 /// Relaxation sweeps for eq. (9).
@@ -192,43 +192,26 @@ void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
                  typename Policy::compute_t dx,
                  typename Policy::compute_t dy,
                  typename Policy::compute_t dz,
-                 int sweeps, SweepKind kind, SigmaBcSpec bc, bool batch = true,
+                 int sweeps, SweepKind kind, SigmaBcSpec bc,
                  const common::ExecSpace& exec = {});
 
-/// Back-compat flavor selector: `gauss_seidel` picks the parallel red–black
-/// ordering (the production Gauss–Seidel), false picks Jacobi.
-template <class Policy>
-void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
-                 common::Field3<typename Policy::storage_t>& scratch,
-                 const common::Field3<typename Policy::storage_t>& src,
-                 const common::Field3<typename Policy::storage_t>& inv_rho,
-                 typename Policy::compute_t alpha,
-                 typename Policy::compute_t dx,
-                 typename Policy::compute_t dy,
-                 typename Policy::compute_t dz,
-                 int sweeps, bool gauss_seidel, SigmaBcSpec bc);
-
 /// A single relaxation pass using the *current* ghost values of `sigma`
-/// (no internal ghost fill).  Distributed drivers call this between
-/// halo exchanges; `sigma_solve` composes it with `fill_sigma_ghosts`.
-/// Jacobi passes write through `scratch` and swap.
+/// (no internal ghost fill).  The periodic-z phased schedule and the
+/// distributed driver call this between ghost fills / halo exchanges;
+/// `sigma_solve` composes it with `fill_sigma_ghosts`.
+///
+/// One team launch per pass, running the row kernels above over planes
+/// [0, nz): red–black relaxes color 0 of every plane, meets at one
+/// team barrier, then relaxes color 1; Jacobi runs one sigma_jacobi_planes
+/// pass into `scratch` and swaps the fields after the team.  A color pass
+/// reads only the other color and Jacobi writes out of place, so the
+/// result is independent of the team width.
 ///
 /// `inv_rho` is the reciprocal density (with ghosts); face coefficients are
 /// arithmetic means of 1/rho (equivalently: 1/rho_face with a harmonic-mean
 /// face density), which keeps the stencil free of divisions — the CPU
 /// analogue of the fused GPU kernel's reciprocal arithmetic.  The only
 /// division left is the diagonal solve, one per cell.
-///
-/// For the converting (FP16/32) policy, `batch` routes the red–black and
-/// Jacobi passes through per-row float scratch lines filled by the batched
-/// conversion lanes, with the current plane's sigma/inv_rho rows streamed
-/// through a rolling 3-row ring (the PR 4 velocity-row-ring pattern) so
-/// adjacent (j, k) visits reuse the converted rows they share instead of
-/// re-converting them per stencil position — bitwise-identical to the
-/// per-element path (`batch = false`, kept as the reference).  Identity-
-/// storage policies ignore `batch`, and the lexicographic ordering is
-/// always per-element (its loop-carried dependence is the point of keeping
-/// it).
 template <class Policy>
 void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
                       common::Field3<typename Policy::storage_t>& scratch,
@@ -238,18 +221,7 @@ void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
                       typename Policy::compute_t dx,
                       typename Policy::compute_t dy,
                       typename Policy::compute_t dz, SweepKind kind,
-                      bool batch = true, const common::ExecSpace& exec = {});
-
-/// Back-compat flavor selector: `gauss_seidel` picks red–black, else Jacobi.
-template <class Policy>
-void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
-                      common::Field3<typename Policy::storage_t>& scratch,
-                      const common::Field3<typename Policy::storage_t>& src,
-                      const common::Field3<typename Policy::storage_t>& inv_rho,
-                      typename Policy::compute_t alpha,
-                      typename Policy::compute_t dx,
-                      typename Policy::compute_t dy,
-                      typename Policy::compute_t dz, bool gauss_seidel);
+                      const common::ExecSpace& exec = {});
 
 /// Max-norm residual of the discrete eq. (9); used by tests and adaptive
 /// sweep-count studies.

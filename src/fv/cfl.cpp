@@ -4,12 +4,12 @@
 #include <cmath>
 #include <cstddef>
 #include <mutex>
-#include <type_traits>
 #include <vector>
 
 #include "common/bfloat16.hpp"
 #include "common/exec.hpp"
 #include "common/half.hpp"
+#include "common/precision.hpp"
 
 namespace igr::fv {
 
@@ -21,12 +21,11 @@ void accumulate_cfl_rates(const common::StateField3<T>& q,
                           CflRates& r) {
   const int nx = q.nx(), ny = q.ny();
 
-  // For binary16 storage, pull each row through the batched conversion
-  // lanes once instead of 6 scalar conversions per cell.  The rate math
-  // below is shared and stays in double either way: half -> float is exact
-  // and float -> double is exact, so both row forms feed identical values.
-  const bool batch_rows =
-      std::is_same_v<T, common::half> && cfg.batch_half_conversion;
+  // Storage with a conversion lane (binary16, bfloat16) pulls each row
+  // through it once instead of 6 scalar conversions per cell.  The rate
+  // math below stays in double either way: widening to float and then to
+  // double is exact, so both row forms feed identical values.
+  constexpr bool kLanes = common::has_conversion_lane<T>;
   const std::size_t nxs = static_cast<std::size_t>(nx);
 
   // Each team member folds its plane chunk into local extrema and merges
@@ -39,7 +38,7 @@ void accumulate_cfl_rates(const common::StateField3<T>& q,
   double merged_min_rho = r.min_rho;
   exec.run_team([&](const common::ExecSpace::Team& t) {
     std::vector<float> row_buf;
-    if (batch_rows) row_buf.resize((common::kNumVars + 1) * nxs);
+    if constexpr (kLanes) row_buf.resize((common::kNumVars + 1) * nxs);
     double max_rate = r.max_rate;
     double min_rho = r.min_rho;
     long cb, ce;
@@ -47,45 +46,30 @@ void accumulate_cfl_rates(const common::StateField3<T>& q,
     for (long kk = cb; kk < ce; ++kk) {
     const int k = k0 + static_cast<int>(kk);
     for (int j = 0; j < ny; ++j) {
-      if constexpr (std::is_same_v<T, common::half>) {
-        if (batch_rows) {
-          for (int c = 0; c < common::kNumVars; ++c)
-            common::convert_to_float(q[c].row(j, k), row_buf.data() + c * nxs,
-                                     nxs);
-          if (sigma)
-            common::convert_to_float(
-                sigma->row(j, k),
-                row_buf.data() + common::kNumVars * nxs, nxs);
-          for (int i = 0; i < nx; ++i) {
-            common::Cons<double> qc;
-            for (int c = 0; c < common::kNumVars; ++c)
-              qc[c] = static_cast<double>(
-                  row_buf[static_cast<std::size_t>(c) * nxs + i]);
-            const auto w = eos.to_prim(qc);
-            const double sig =
-                sigma ? std::max(static_cast<double>(
-                                     row_buf[common::kNumVars * nxs + i]),
-                                 0.0)
-                      : 0.0;
-            const double cs =
-                eos.sound_speed(w.rho, std::max(w.p, 1e-300) + sig);
-            const double rate = (std::abs(w.u) + cs) / grid.dx() +
-                                (std::abs(w.v) + cs) / grid.dy() +
-                                (std::abs(w.w) + cs) / grid.dz();
-            max_rate = std::max(max_rate, rate);
-            min_rho = std::min(min_rho, w.rho);
-          }
-          continue;
-        }
+      if constexpr (kLanes) {
+        for (int c = 0; c < common::kNumVars; ++c)
+          common::convert_to_float(q[c].row(j, k), row_buf.data() + c * nxs,
+                                   nxs);
+        if (sigma)
+          common::convert_to_float(sigma->row(j, k),
+                                   row_buf.data() + common::kNumVars * nxs,
+                                   nxs);
       }
+      // Variable c at cell i of this row; c == kNumVars is Sigma.
+      auto at = [&](int c, int i) -> double {
+        if constexpr (kLanes) {
+          return row_buf[static_cast<std::size_t>(c) * nxs +
+                         static_cast<std::size_t>(i)];
+        } else {
+          return c < common::kNumVars ? q[c](i, j, k) : (*sigma)(i, j, k);
+        }
+      };
       for (int i = 0; i < nx; ++i) {
         common::Cons<double> qc;
-        for (int c = 0; c < common::kNumVars; ++c)
-          qc[c] = static_cast<double>(q[c](i, j, k));
+        for (int c = 0; c < common::kNumVars; ++c) qc[c] = at(c, i);
         const auto w = eos.to_prim(qc);
         const double sig =
-            sigma ? std::max(static_cast<double>((*sigma)(i, j, k)), 0.0)
-                  : 0.0;
+            sigma ? std::max(at(common::kNumVars, i), 0.0) : 0.0;
         const double cs =
             eos.sound_speed(w.rho, std::max(w.p, 1e-300) + sig);
         const double rate = (std::abs(w.u) + cs) / grid.dx() +

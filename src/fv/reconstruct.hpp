@@ -78,6 +78,9 @@ FacePair<T> weno5(const std::array<T, 6>& s) {
   return reconstruct_fixed<ReconScheme::kWeno5>(s.data());
 }
 
+/// Runtime-dispatched form, for per-face scalar callers (the 1-D solvers,
+/// test references).  Hot loops resolve the scheme once (dispatch_recon)
+/// and use ReconFixed instead.
 template <class T>
 FacePair<T> reconstruct(ReconScheme scheme, const std::array<T, 6>& s) {
   switch (scheme) {
@@ -89,19 +92,13 @@ FacePair<T> reconstruct(ReconScheme scheme, const std::array<T, 6>& s) {
   return recon1(s);
 }
 
-/// Compile-time-dispatched pointer variant for hot loops walking contiguous
-/// line buffers: `s` points at q(i-2) for the face i+1/2.  Solvers resolve
-/// the scheme once per flux computation and instantiate their sweeps on it,
-/// so the per-face/per-variable dispatch below inlines away entirely and the
-/// face loops vectorize.  This is the single home of the stencil
-/// coefficients: the array-based named operators above and the runtime
-/// `reconstruct(scheme, s)` all forward here, which also makes the two
-/// dispatch styles bitwise-identical (tests/test_flux_dispatch.cpp).
 /// Value form of the 6-point stencil operators: the single home of the
-/// stencil arithmetic.  The pointer form below forwards here, and the
-/// row-streaming flux kernel calls it with one value per stencil row — so a
-/// gathered line and six strided rows feed the exact same expressions and
-/// produce the exact same bits.
+/// stencil arithmetic.  The pointer form below (and through it the
+/// array-based operators above, `reconstruct(scheme, s)` included)
+/// forwards here, and the row-streaming flux kernel calls it with one
+/// value per stencil row — so every caller evaluates the exact same
+/// expressions and gets the exact same bits (tests/test_flux_dispatch.cpp
+/// checks the flux kernel against `reconstruct(scheme, s)` face by face).
 template <ReconScheme R, class T>
 inline FacePair<T> reconstruct_vals(T s0, T s1, T s2, T s3, T s4, T s5) {
   if constexpr (R == ReconScheme::kFirst) {
@@ -122,47 +119,20 @@ inline FacePair<T> reconstruct_vals(T s0, T s1, T s2, T s3, T s4, T s5) {
   }
 }
 
+/// Pointer form: `s` points at q(i-2) for the face i+1/2.
 template <ReconScheme R, class T>
 inline FacePair<T> reconstruct_fixed(const T* s) {
   return reconstruct_vals<R>(s[0], s[1], s[2], s[3], s[4], s[5]);
 }
 
-/// Runtime-dispatched pointer variant; the reference path.  Hot loops should
-/// not call this per face — resolve the scheme once and use the functors
-/// below (ReconFixed) or `reconstruct_fixed` directly.
-template <class T>
-FacePair<T> reconstruct(ReconScheme scheme, const T* s) {
-  switch (scheme) {
-    case ReconScheme::kFirst: return reconstruct_fixed<ReconScheme::kFirst>(s);
-    case ReconScheme::kThird: return reconstruct_fixed<ReconScheme::kThird>(s);
-    case ReconScheme::kFifth: return reconstruct_fixed<ReconScheme::kFifth>(s);
-    case ReconScheme::kWeno5: return reconstruct_fixed<ReconScheme::kWeno5>(s);
-  }
-  return {s[2], s[3]};
-}
-
-/// Zero-size functor binding the scheme at compile time; sweeps templated on
-/// a recon operator inline it into their face loops.
+/// Zero-size functor binding the scheme at compile time; the flux sweeps,
+/// templated on it, inline it into their face loops.
 template <ReconScheme R>
 struct ReconFixed {
-  template <class T>
-  FacePair<T> operator()(const T* s) const {
-    return reconstruct_fixed<R, T>(s);
-  }
   /// Value form for row-streaming kernels (stencil rows, one value each).
   template <class T>
   FacePair<T> vals(T s0, T s1, T s2, T s3, T s4, T s5) const {
     return reconstruct_vals<R, T>(s0, s1, s2, s3, s4, s5);
-  }
-};
-
-/// Runtime-bound recon operator: the pre-dispatch reference path, retained
-/// for equivalence testing of the compile-time instantiations.
-struct ReconRuntime {
-  ReconScheme scheme = ReconScheme::kFifth;
-  template <class T>
-  FacePair<T> operator()(const T* s) const {
-    return reconstruct(scheme, s);
   }
 };
 

@@ -6,8 +6,8 @@
 /// reference phased_step().  Every slot of the fused wavefront reads exactly
 /// the values the phased full-grid passes would show it (see the pipeline
 /// notes in igr_solver3d.cpp); any divergence is a scheduling bug, not
-/// roundoff.  Same discipline as the dispatch-equivalence and
-/// batch-conversion regression tests, and it relies on the same
+/// roundoff.  Same discipline as the flux kernel's scalar-reference test
+/// (tests/test_flux_dispatch.cpp), and it relies on the same
 /// reproducibility flags pinned in CMakeLists.txt.
 
 #include <gtest/gtest.h>

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "common/precision.hpp"
@@ -17,6 +18,7 @@ using igr::core::fill_sigma_ghosts;
 using igr::core::SigmaBc;
 using igr::core::sigma_residual;
 using igr::core::sigma_solve;
+using igr::core::SweepKind;
 
 constexpr int kN = 16;
 constexpr double kPi = 3.14159265358979323846;
@@ -70,6 +72,34 @@ struct Manufactured {
   }
 };
 
+/// The serial lexicographic Gauss–Seidel ordering, the reference the
+/// red–black sweeps are checked against: each sweep fills one periodic
+/// ghost layer, then relaxes the 7-point stencil of eq. (9) in place over
+/// k, j, i (face coefficients the arithmetic means of 1/rho).
+void solve_lexicographic(Field3<double>& sigma, const Manufactured& m,
+                         int sweeps) {
+  const double ih2 = 1.0 / (m.h * m.h);
+  for (int s = 0; s < sweeps; ++s) {
+    fill_sigma_ghosts(sigma, SigmaBc::kPeriodic, 1);
+    for (int k = 0; k < kN; ++k)
+      for (int j = 0; j < kN; ++j)
+        for (int i = 0; i < kN; ++i) {
+          const double ir0 = m.inv_rho(i, j, k);
+          double off = 0.0, diag = 0.0;
+          for (const auto& d : {std::array<int, 3>{1, 0, 0}, {-1, 0, 0},
+                                {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}) {
+            const double c =
+                0.5 * (ir0 + m.inv_rho(i + d[0], j + d[1], k + d[2]));
+            off += c * sigma(i + d[0], j + d[1], k + d[2]);
+            diag += c;
+          }
+          sigma(i, j, k) = (m.src(i, j, k) + m.alpha * ih2 * off) /
+                           (ir0 + m.alpha * ih2 * diag);
+        }
+  }
+  fill_sigma_ghosts(sigma, SigmaBc::kPeriodic);
+}
+
 double max_err(const Field3<double>& a, const Field3<double>& b) {
   double m = 0;
   for (int k = 0; k < kN; ++k)
@@ -83,7 +113,7 @@ TEST(SigmaSolver, GaussSeidelConvergesToManufacturedSolution) {
   Manufactured m(false);
   Field3<double> sigma(kN, kN, kN, 3), scratch;
   sigma_solve<Fp64>(sigma, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h,
-                    400, /*gs=*/true, SigmaBc::kPeriodic);
+                    400, SweepKind::kRedBlack, SigmaBc::kPeriodic);
   EXPECT_LT(max_err(sigma, m.sigma_exact), 1e-10);
 }
 
@@ -91,7 +121,7 @@ TEST(SigmaSolver, JacobiConvergesToManufacturedSolution) {
   Manufactured m(false);
   Field3<double> sigma(kN, kN, kN, 3), scratch(kN, kN, kN, 3);
   sigma_solve<Fp64>(sigma, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h,
-                    800, /*gs=*/false, SigmaBc::kPeriodic);
+                    800, SweepKind::kJacobi, SigmaBc::kPeriodic);
   EXPECT_LT(max_err(sigma, m.sigma_exact), 1e-9);
 }
 
@@ -99,7 +129,7 @@ TEST(SigmaSolver, VariableDensityConverges) {
   Manufactured m(true);
   Field3<double> sigma(kN, kN, kN, 3), scratch;
   sigma_solve<Fp64>(sigma, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h,
-                    600, true, SigmaBc::kPeriodic);
+                    600, SweepKind::kRedBlack, SigmaBc::kPeriodic);
   EXPECT_LT(max_err(sigma, m.sigma_exact), 1e-9);
 }
 
@@ -109,7 +139,7 @@ TEST(SigmaSolver, ResidualDecreasesMonotonically) {
   double prev = 1e300;
   for (int rounds = 0; rounds < 6; ++rounds) {
     sigma_solve<Fp64>(sigma, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 2,
-                      true, SigmaBc::kPeriodic);
+                      SweepKind::kRedBlack, SigmaBc::kPeriodic);
     const double r = sigma_residual<Fp64>(sigma, m.src, m.inv_rho, m.alpha, m.h,
                                           m.h, m.h);
     EXPECT_LT(r, prev);
@@ -125,7 +155,7 @@ TEST(SigmaSolver, WarmStartBeatsColdStartAtFiveSweeps) {
   Field3<double> warm(kN, kN, kN, 3), scratch;
   // Converge once (the "previous step" solution).
   sigma_solve<Fp64>(warm, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 200,
-                    true, SigmaBc::kPeriodic);
+                    SweepKind::kRedBlack, SigmaBc::kPeriodic);
   // Drift the source by 1% and take only 5 sweeps from each start.
   for (int k = 0; k < kN; ++k)
     for (int j = 0; j < kN; ++j)
@@ -133,9 +163,9 @@ TEST(SigmaSolver, WarmStartBeatsColdStartAtFiveSweeps) {
 
   Field3<double> cold(kN, kN, kN, 3);
   sigma_solve<Fp64>(warm, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 5,
-                    true, SigmaBc::kPeriodic);
+                    SweepKind::kRedBlack, SigmaBc::kPeriodic);
   sigma_solve<Fp64>(cold, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 5,
-                    true, SigmaBc::kPeriodic);
+                    SweepKind::kRedBlack, SigmaBc::kPeriodic);
   const double r_warm =
       sigma_residual<Fp64>(warm, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h);
   const double r_cold =
@@ -160,12 +190,12 @@ TEST(SigmaSolver, WellConditionedBecauseAlphaScalesWithH2) {
         for (int i = 0; i < n; ++i)
           src(i, j, k) = std::sin(2 * kPi * (i + 0.5) / n) *
                          std::cos(2 * kPi * (j + 0.5) / n);
-    sigma_solve<Fp64>(sigma, scratch, src, rho, alpha, h, h, h, 10, true,
-                      SigmaBc::kPeriodic);
+    sigma_solve<Fp64>(sigma, scratch, src, rho, alpha, h, h, h, 10,
+                      SweepKind::kRedBlack, SigmaBc::kPeriodic);
     const double r10 =
         sigma_residual<Fp64>(sigma, src, rho, alpha, h, h, h);
-    sigma_solve<Fp64>(sigma, scratch, src, rho, alpha, h, h, h, 20, true,
-                      SigmaBc::kPeriodic);
+    sigma_solve<Fp64>(sigma, scratch, src, rho, alpha, h, h, h, 20,
+                      SweepKind::kRedBlack, SigmaBc::kPeriodic);
     const double r30 =
         sigma_residual<Fp64>(sigma, src, rho, alpha, h, h, h);
     return std::pow(r30 / r10, 1.0 / 20.0);
@@ -196,7 +226,8 @@ TEST(SigmaSolver, Fp32PolicyConverges) {
         rho(i, j, k) = 1.0f;
       }
   sigma_solve<Fp32>(sigma, scratch, src, rho, float(m.alpha), float(m.h),
-                    float(m.h), float(m.h), 200, true, SigmaBc::kPeriodic);
+                    float(m.h), float(m.h), 200, SweepKind::kRedBlack,
+                    SigmaBc::kPeriodic);
   const double r = sigma_residual<Fp32>(sigma, src, rho, float(m.alpha),
                                         float(m.h), float(m.h), float(m.h));
   EXPECT_LT(r, 1e-4);
@@ -227,13 +258,11 @@ TEST(SigmaSolver, RedBlackConvergesToSerialGaussSeidelFixedPoint) {
   // The parallel two-color ordering must relax to the same fixed point as
   // the serial lexicographic sweep (the reference ordering) — they differ
   // only in iteration error, which vanishes at convergence.
-  using igr::core::SweepKind;
   Manufactured m(true);
   Field3<double> rb(kN, kN, kN, 3), lex(kN, kN, kN, 3), scratch;
   sigma_solve<Fp64>(rb, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h,
                     400, SweepKind::kRedBlack, SigmaBc::kPeriodic);
-  sigma_solve<Fp64>(lex, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h,
-                    400, SweepKind::kGaussSeidelLex, SigmaBc::kPeriodic);
+  solve_lexicographic(lex, m, 400);
   EXPECT_LT(max_err(rb, lex), 1e-10);
   // And both land on the manufactured discrete solution.
   EXPECT_LT(max_err(rb, m.sigma_exact), 1e-10);
@@ -244,39 +273,26 @@ TEST(SigmaSolver, RedBlackResidualContractsAtFiveSweeps) {
   // Red-black must make comparable per-sweep progress to the serial
   // ordering (its contraction rate on this well-conditioned system is the
   // same to leading order).
-  using igr::core::SweepKind;
   Manufactured m(false);
-  auto residual_after = [&](SweepKind kind) {
-    Field3<double> sigma(kN, kN, kN, 3), scratch;
-    sigma_solve<Fp64>(sigma, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h,
-                      m.h, 5, kind, SigmaBc::kPeriodic);
+  auto residual = [&](const Field3<double>& sigma) {
     return sigma_residual<Fp64>(sigma, m.src, m.inv_rho, m.alpha, m.h, m.h,
                                 m.h);
   };
-  const double r_rb = residual_after(SweepKind::kRedBlack);
-  const double r_lex = residual_after(SweepKind::kGaussSeidelLex);
+  Field3<double> rb(kN, kN, kN, 3), lex(kN, kN, kN, 3), scratch;
+  sigma_solve<Fp64>(rb, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 5,
+                    SweepKind::kRedBlack, SigmaBc::kPeriodic);
+  solve_lexicographic(lex, m, 5);
+  const double r_rb = residual(rb);
+  const double r_lex = residual(lex);
   EXPECT_LT(r_rb, 3.0 * r_lex);  // same ballpark per-sweep progress
   EXPECT_GT(r_rb, 0.0);
-}
-
-TEST(SigmaSolver, BoolOverloadSelectsRedBlack) {
-  // The config-level bool (sigma_gauss_seidel) maps to the red-black
-  // ordering; Jacobi remains the false branch.  Bitwise checks.
-  using igr::core::SweepKind;
-  Manufactured m(false);
-  Field3<double> a(kN, kN, kN, 3), b(kN, kN, kN, 3), scratch;
-  sigma_solve<Fp64>(a, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 7,
-                    /*gauss_seidel=*/true, SigmaBc::kPeriodic);
-  sigma_solve<Fp64>(b, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 7,
-                    SweepKind::kRedBlack, SigmaBc::kPeriodic);
-  EXPECT_EQ(max_err(a, b), 0.0);
 }
 
 TEST(SigmaSolver, ZeroSourceGivesZeroSolution) {
   Field3<double> sigma(8, 8, 8, 3), scratch, src(8, 8, 8, 3), rho(8, 8, 8, 3);
   rho.fill(1.0);
-  sigma_solve<Fp64>(sigma, scratch, src, rho, 1e-3, 0.1, 0.1, 0.1, 50, true,
-                    SigmaBc::kPeriodic);
+  sigma_solve<Fp64>(sigma, scratch, src, rho, 1e-3, 0.1, 0.1, 0.1, 50,
+                    SweepKind::kRedBlack, SigmaBc::kPeriodic);
   for (int k = 0; k < 8; ++k)
     for (int j = 0; j < 8; ++j)
       for (int i = 0; i < 8; ++i) EXPECT_EQ(sigma(i, j, k), 0.0);
