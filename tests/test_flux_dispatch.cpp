@@ -259,10 +259,11 @@ TEST(FluxReference, ViscousWithoutSigmaMatchesBitwise) {
 
 TEST(FluxReference, FloorsAndFallbackOnShockTubeMatchBitwise) {
   // A hard start-up discontinuity exercises the nonphysical-reconstruction
-  // fallback and the configured floors.
+  // fallback, and floors above the low state's density and pressure (0.01)
+  // clamp every face on that side.
   auto cfg = igr_cfg();
-  cfg.density_floor = 1e-8;
-  cfg.pressure_floor = 1e-8;
+  cfg.density_floor = 0.02;
+  cfg.pressure_floor = 0.02;
   IgrSolver3D<Fp64> s(Grid::cube(12), cfg, BcSpec::all_outflow());
   s.init([](double x, double, double) {
     Prim<double> w;
