@@ -528,9 +528,9 @@ void IgrSolver3D<Policy>::build_sigma_source_boundary(
 /// batched lanes (FP16/32, BF16/32).  All inner loops are unit-stride, no
 /// y/z line is gathered or scattered, and for the transverse sweeps each
 /// face row is computed once and reused by the two cell rows it bounds (a
-/// rolling flux-row pair).  Each cell accumulates (f[s] - f[s+1]) / d per
-/// sweep, x then y then z; tests/test_flux_dispatch.cpp checks the result
-/// against a face-at-a-time scalar reference.
+/// rolling flux-row pair).  Each cell accumulates (f[s] - f[s+1]) * (1/d)
+/// per sweep, x then y then z; tests/test_flux_dispatch.cpp checks the
+/// result against a face-at-a-time scalar reference.
 template <class Policy>
 template <int Dir, class ReconOp>
 void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
